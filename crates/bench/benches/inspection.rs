@@ -1,5 +1,11 @@
 //! Wall-clock payload-inspection throughput: the Aho–Corasick engine and
 //! the full SnortLite NF.
+//!
+//! The scan skips bytes that cannot begin a pattern while it is in the
+//! root state, so its cost depends on the share of such bytes. The
+//! payloads span that share: `digits` (no byte can start a pattern),
+//! `miss`/`hit` (letters, 4 bytes in 23 can) and `start_dense` (every byte
+//! can).
 
 #![allow(clippy::cast_possible_truncation)] // bench data built from loop indices
 
@@ -17,6 +23,7 @@ log tcp any any -> any any (msg:"beacon"; content:"beacon";)
 pass tcp any any -> any any (content:"healthcheck";)
 "#;
 
+/// Letters `a..=w` in turn, with "evil" in the middle when `hit`.
 fn payload(len: usize, hit: bool) -> Vec<u8> {
     let mut out: Vec<u8> = (0..len).map(|i| b'a' + (i % 23) as u8).collect();
     if hit && len >= 8 {
@@ -24,6 +31,16 @@ fn payload(len: usize, hit: bool) -> Vec<u8> {
         out[mid..mid + 4].copy_from_slice(b"evil");
     }
     out
+}
+
+/// Decimal digits: no pattern starts with one.
+fn digits(len: usize) -> Vec<u8> {
+    (0..len).map(|i| b'0' + (i * 7 % 10) as u8).collect()
+}
+
+/// Repeated "eXph": every byte starts a pattern, none completes one.
+fn start_dense(len: usize) -> Vec<u8> {
+    b"eXph".iter().copied().cycle().take(len).collect()
 }
 
 fn bench_aho_corasick(c: &mut Criterion) {
@@ -41,6 +58,12 @@ fn bench_aho_corasick(c: &mut Criterion) {
         });
         let dirty = payload(len, true);
         g.bench_with_input(BenchmarkId::new("hit", len), &dirty, |b, data| {
+            b.iter(|| black_box(ac.find_all(data)));
+        });
+        g.bench_with_input(BenchmarkId::new("digits", len), &digits(len), |b, data| {
+            b.iter(|| black_box(ac.find_all(data)));
+        });
+        g.bench_with_input(BenchmarkId::new("start_dense", len), &start_dense(len), |b, data| {
             b.iter(|| black_box(ac.find_all(data)));
         });
     }

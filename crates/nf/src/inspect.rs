@@ -2,11 +2,19 @@
 //!
 //! Snort's content matching is multi-pattern string search over the packet
 //! payload; this module provides the same primitive for [`crate::snort`]
-//! without pulling in a third-party matcher. Classic construction: a byte
-//! trie plus BFS failure links, with output sets merged along failure
-//! chains.
+//! without pulling in a third-party matcher. Construction builds a byte trie
+//! and turns it into a dense DFA: one 256-entry transition row per state,
+//! filled in BFS order as the state's failure row with its own children
+//! written over it, and output sets merged along failure chains. The scan
+//! is then one table load per payload byte, with no failure-link walk.
+//!
+//! While the automaton sits in the root state it skips every byte that
+//! cannot begin a pattern. That is exact: such a byte leads from the root
+//! back to the root, and the root has no outputs. How much it saves depends
+//! on the share of payload bytes that can start a pattern.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// A match found in the haystack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,23 +25,19 @@ pub struct Match {
     pub end: usize,
 }
 
-#[derive(Debug, Clone, Default)]
-struct Node {
-    /// Child state per byte; sparse (most payload bytes miss).
-    children: Vec<(u8, u32)>,
-    /// Failure link.
-    fail: u32,
-    /// Patterns ending at this state.
-    outputs: Vec<usize>,
-}
-
-impl Node {
-    fn child(&self, byte: u8) -> Option<u32> {
-        self.children.iter().find(|(b, _)| *b == byte).map(|(_, s)| *s)
-    }
-}
+/// Bits of a transition entry below the state index. An entry holds
+/// `state << STATE_SHIFT`, which is also the offset of that state's row,
+/// with [`OUTPUT`] set if any pattern ends in that state.
+const STATE_SHIFT: u32 = 8;
+/// Entry flag: the target state has outputs.
+const OUTPUT: u32 = 1;
+/// Masks an entry down to its state's row offset.
+const ROW: u32 = !((1 << STATE_SHIFT) - 1);
 
 /// An Aho–Corasick multi-pattern matcher over byte strings.
+///
+/// Memory: one 1 KiB transition row per automaton state, i.e. per distinct
+/// pattern prefix plus the root.
 ///
 /// ```
 /// use speedybox_nf::AhoCorasick;
@@ -45,69 +49,93 @@ impl Node {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AhoCorasick {
-    nodes: Vec<Node>,
+    /// Dense transitions: entry `state * 256 + byte`, encoded as above.
+    delta: Vec<u32>,
+    /// `outputs[out_start[s]..out_start[s + 1]]` are the patterns ending in
+    /// state `s`: its own, in pattern order, then its failure state's.
+    out_start: Vec<u32>,
+    outputs: Vec<usize>,
+    /// Bytes that lead out of the root state, i.e. can begin a pattern.
+    starts: [bool; 256],
     pattern_count: usize,
 }
 
 impl AhoCorasick {
     /// Builds the automaton from `patterns`. Empty patterns are ignored
     /// (they would match everywhere and Snort forbids empty `content`).
+    ///
+    /// # Panics
+    /// Panics if the patterns need more than 2^24 states.
     #[must_use]
     pub fn new(patterns: &[Vec<u8>]) -> Self {
-        let mut nodes = vec![Node::default()];
-        // Phase 1: trie.
+        // Phase 1: the sparse trie, with each state's own outputs.
+        let mut children: Vec<Vec<(u8, u32)>> = vec![Vec::new()];
+        let mut own: Vec<Vec<usize>> = vec![Vec::new()];
         for (id, pat) in patterns.iter().enumerate() {
             if pat.is_empty() {
                 continue;
             }
-            let mut state = 0u32;
+            let mut state = 0usize;
             for &byte in pat {
-                state = match nodes[state as usize].child(byte) {
-                    Some(next) => next,
+                state = match children[state].iter().find(|(b, _)| *b == byte) {
+                    Some(&(_, next)) => next as usize,
                     None => {
-                        let next = u32::try_from(nodes.len())
-                            .expect("automaton size bounded by total pattern bytes");
-                        nodes.push(Node::default());
-                        nodes[state as usize].children.push((byte, next));
-                        next
+                        let next = u32::try_from(children.len())
+                            .ok()
+                            .filter(|n| n >> (32 - STATE_SHIFT) == 0)
+                            .expect("automaton states fit in 24 bits");
+                        children.push(Vec::new());
+                        own.push(Vec::new());
+                        children[state].push((byte, next));
+                        next as usize
                     }
                 };
             }
-            nodes[state as usize].outputs.push(id);
+            own[state].push(id);
         }
-        // Phase 2: BFS failure links + output merging.
-        let mut queue = VecDeque::new();
-        let root_children: Vec<(u8, u32)> = nodes[0].children.clone();
-        for (_, child) in &root_children {
-            nodes[*child as usize].fail = 0;
-            queue.push_back(*child);
-        }
+        // Phase 2: dense rows and merged outputs in BFS order. A state's
+        // failure state is shallower, so its row and outputs are final by
+        // the time the state is reached.
+        let states = children.len();
+        let mut delta = vec![0u32; states << STATE_SHIFT];
+        let mut fail = vec![0usize; states];
+        let mut merged: Vec<Vec<usize>> = vec![Vec::new(); states];
+        let mut queue = VecDeque::from([0usize]);
         while let Some(state) = queue.pop_front() {
-            let children: Vec<(u8, u32)> = nodes[state as usize].children.clone();
-            for (byte, child) in children {
-                queue.push_back(child);
-                // Walk failure links of the parent until a state with a
-                // `byte` transition (or the root) is found.
-                let mut f = nodes[state as usize].fail;
-                loop {
-                    if let Some(next) = nodes[f as usize].child(byte) {
-                        if next != child {
-                            nodes[child as usize].fail = next;
-                        }
-                        break;
-                    }
-                    if f == 0 {
-                        nodes[child as usize].fail = 0;
-                        break;
-                    }
-                    f = nodes[f as usize].fail;
+            let row = state << STATE_SHIFT;
+            if state != 0 {
+                let fail_row = fail[state] << STATE_SHIFT;
+                delta.copy_within(fail_row..fail_row + 256, row);
+            }
+            for &(byte, next) in &children[state] {
+                let child = next as usize;
+                if state != 0 {
+                    let via_fail = delta[(fail[state] << STATE_SHIFT) | byte as usize];
+                    fail[child] = (via_fail >> STATE_SHIFT) as usize;
                 }
-                let fail = nodes[child as usize].fail;
-                let inherited = nodes[fail as usize].outputs.clone();
-                nodes[child as usize].outputs.extend(inherited);
+                merged[child] = own[child].iter().chain(&merged[fail[child]]).copied().collect();
+                delta[row | byte as usize] = next << STATE_SHIFT;
+                queue.push_back(child);
             }
         }
-        Self { nodes, pattern_count: patterns.len() }
+        // Phase 3: flag entries into output states, flatten the outputs.
+        for entry in &mut delta {
+            if !merged[(*entry >> STATE_SHIFT) as usize].is_empty() {
+                *entry |= OUTPUT;
+            }
+        }
+        let mut out_start = Vec::with_capacity(states + 1);
+        let mut outputs = Vec::new();
+        for m in &merged {
+            out_start.push(u32::try_from(outputs.len()).expect("output count fits u32"));
+            outputs.extend_from_slice(m);
+        }
+        out_start.push(u32::try_from(outputs.len()).expect("output count fits u32"));
+        let mut starts = [false; 256];
+        for &(byte, _) in &children[0] {
+            starts[byte as usize] = true;
+        }
+        Self { delta, out_start, outputs, starts, pattern_count: patterns.len() }
     }
 
     /// Number of patterns the automaton was built from.
@@ -116,30 +144,57 @@ impl AhoCorasick {
         self.pattern_count
     }
 
-    fn step(&self, state: u32, byte: u8) -> u32 {
-        let mut s = state;
-        loop {
-            if let Some(next) = self.nodes[s as usize].child(byte) {
-                return next;
+    /// Calls `f` for every pattern occurrence in `haystack`, in end-offset
+    /// order, until `f` breaks. Allocates nothing.
+    pub(crate) fn try_for_each_match<B>(
+        &self,
+        haystack: &[u8],
+        mut f: impl FnMut(Match) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let mut entry = 0u32;
+        let mut i = 0;
+        while i < haystack.len() {
+            if entry == 0 {
+                match self.next_start(&haystack[i..]) {
+                    Some(skip) => i += skip,
+                    None => break,
+                }
             }
-            if s == 0 {
-                return 0;
+            entry = self.delta[(entry & ROW) as usize | haystack[i] as usize];
+            i += 1;
+            if entry & OUTPUT != 0 {
+                let state = (entry >> STATE_SHIFT) as usize;
+                let (lo, hi) = (self.out_start[state] as usize, self.out_start[state + 1] as usize);
+                for &pattern in &self.outputs[lo..hi] {
+                    f(Match { pattern, end: i })?;
+                }
             }
-            s = self.nodes[s as usize].fail;
         }
+        ControlFlow::Continue(())
+    }
+
+    /// Offset of the first byte of `bytes` that can begin a pattern, testing
+    /// eight bytes per branch while none can.
+    fn next_start(&self, bytes: &[u8]) -> Option<usize> {
+        let can_start = |b: &u8| self.starts[*b as usize];
+        let mut skipped = 0;
+        for chunk in bytes.chunks_exact(8) {
+            if chunk.iter().fold(false, |any, b| any | can_start(b)) {
+                break;
+            }
+            skipped += 8;
+        }
+        bytes[skipped..].iter().position(can_start).map(|k| skipped + k)
     }
 
     /// Finds all pattern occurrences in `haystack`, in end-offset order.
     #[must_use]
     pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
         let mut out = Vec::new();
-        let mut state = 0u32;
-        for (i, &byte) in haystack.iter().enumerate() {
-            state = self.step(state, byte);
-            for &pattern in &self.nodes[state as usize].outputs {
-                out.push(Match { pattern, end: i + 1 });
-            }
-        }
+        let _ = self.try_for_each_match(haystack, |m| {
+            out.push(m);
+            ControlFlow::<()>::Continue(())
+        });
         out
     }
 
@@ -147,14 +202,10 @@ impl AhoCorasick {
     /// when presence is all that matters).
     #[must_use]
     pub fn find_first(&self, haystack: &[u8]) -> Option<Match> {
-        let mut state = 0u32;
-        for (i, &byte) in haystack.iter().enumerate() {
-            state = self.step(state, byte);
-            if let Some(&pattern) = self.nodes[state as usize].outputs.first() {
-                return Some(Match { pattern, end: i + 1 });
-            }
+        match self.try_for_each_match(haystack, ControlFlow::Break) {
+            ControlFlow::Break(m) => Some(m),
+            ControlFlow::Continue(()) => None,
         }
-        None
     }
 
     /// Returns the set of distinct pattern indices present in `haystack`,
@@ -245,6 +296,31 @@ mod tests {
         let ac = AhoCorasick::new(&pats(&["dup", "dup"]));
         let found = ac.matching_patterns(b"a dup here");
         assert_eq!(found, vec![0, 1]);
+    }
+
+    #[test]
+    fn skip_finds_patterns_at_every_alignment() {
+        // Non-start bytes before and after the match, across the eight-byte
+        // chunks the root-state skip tests at once.
+        let ac = AhoCorasick::new(&pats(&["evil", "XFIL"]));
+        for before in 0..20 {
+            for after in 0..10 {
+                let mut hay = vec![b'7'; before];
+                hay.extend_from_slice(b"XFIL");
+                hay.extend(std::iter::repeat_n(b'7', after));
+                assert_eq!(ac.find_all(&hay), vec![Match { pattern: 1, end: before + 4 }]);
+            }
+        }
+        assert!(ac.find_first(&[b'7'; 64]).is_none());
+    }
+
+    #[test]
+    fn one_state_per_distinct_prefix() {
+        // The built-in Snort rule contents: 30 pattern bytes, no shared
+        // prefix, plus the root, so 31 transition rows of 1 KiB.
+        let ac = AhoCorasick::new(&pats(&["evil", "XFIL", "probe", "healthcheck", "beacon"]));
+        assert_eq!(ac.delta.len(), 31 * 256);
+        assert_eq!(AhoCorasick::new(&pats(&["he", "her", "hers", "he"])).delta.len(), 5 * 256);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! inspection is a payload-`READ` state function.
 
 use std::fmt;
+use std::ops::ControlFlow;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -284,16 +285,66 @@ pub struct LogEntry {
     pub fid: Fid,
 }
 
+/// A logged alert in compact form: the rule that fired and the flow.
+/// [`SnortLite::log`] expands it into a [`LogEntry`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Alert {
+    rule: usize,
+    fid: Fid,
+}
+
+/// Distinct rules whose patterns appeared in one payload, kept on the
+/// stack. Past [`HitSet::CAP`] rules it saturates and admits every rule,
+/// which stays correct because [`Rule::matches_payload`] confirms each
+/// candidate anyway.
+#[derive(Debug)]
+struct HitSet {
+    rules: [usize; HitSet::CAP],
+    len: usize,
+    saturated: bool,
+}
+
+impl HitSet {
+    const CAP: usize = 8;
+
+    fn new() -> Self {
+        Self { rules: [0; Self::CAP], len: 0, saturated: false }
+    }
+
+    /// Adds `rule`; breaks once the set has saturated.
+    fn insert(&mut self, rule: usize) -> ControlFlow<()> {
+        if !self.contains(rule) {
+            if self.len == Self::CAP {
+                self.saturated = true;
+            } else {
+                self.rules[self.len] = rule;
+                self.len += 1;
+            }
+        }
+        if self.saturated {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    fn contains(&self, rule: usize) -> bool {
+        self.saturated || self.rules[..self.len].contains(&rule)
+    }
+}
+
 /// Shared inspection state: automaton, rules and output log.
 #[derive(Debug)]
 struct Engine {
     rules: Vec<Rule>,
-    /// One automaton over all rules' first content patterns; rule
-    /// confirmation checks the remaining patterns.
+    /// One automaton over all rules' case-sensitive content patterns; rule
+    /// confirmation checks every content and pcre.
     automaton: AhoCorasick,
     /// Pattern index -> rule index.
     pattern_rule: Vec<usize>,
-    log: Mutex<Vec<LogEntry>>,
+    /// Per rule: has a case-sensitive content, so the prefilter applies.
+    prefiltered: Vec<bool>,
+    log: Mutex<Vec<Alert>>,
 }
 
 impl Engine {
@@ -314,32 +365,29 @@ impl Engine {
             }
         }
         let automaton = AhoCorasick::new(&patterns);
-        Self { rules, automaton, pattern_rule, log: Mutex::new(Vec::new()) }
+        let prefiltered =
+            rules.iter().map(|rule| rule.contents.iter().any(|c| !c.nocase)).collect();
+        Self { rules, automaton, pattern_rule, prefiltered, log: Mutex::new(Vec::new()) }
     }
 
     /// Inspects a payload against the candidate rule set; returns the first
     /// matching rule index (rule order = priority, as in Snort).
     fn inspect(&self, payload: &[u8], candidates: &[usize]) -> Option<usize> {
-        let hits = self.automaton.matching_patterns(payload);
-        let mut prefiltered: Vec<usize> = hits.iter().map(|&p| self.pattern_rule[p]).collect();
-        prefiltered.sort_unstable();
-        prefiltered.dedup();
+        let mut hits = HitSet::new();
+        let _ = self
+            .automaton
+            .try_for_each_match(payload, |m| hits.insert(self.pattern_rule[m.pattern]));
         candidates.iter().copied().find(|&ri| {
-            let rule = &self.rules[ri];
-            let has_cs_content = rule.contents.iter().any(|c| !c.nocase);
-            if has_cs_content && !prefiltered.contains(&ri) {
-                return false; // fast reject: no pattern appeared at all
-            }
-            rule.matches_payload(payload)
+            // Fast reject: none of the rule's case-sensitive patterns appeared.
+            (!self.prefiltered[ri] || hits.contains(ri)) && self.rules[ri].matches_payload(payload)
         })
     }
 
-    fn record(&self, rule: &Rule, fid: Fid) {
-        match rule.action {
+    /// Logs rule `ri` firing on `fid`, unless it is a pass rule.
+    fn record(&self, ri: usize, fid: Fid) {
+        match self.rules[ri].action {
             RuleAction::Pass => {}
-            RuleAction::Alert | RuleAction::Log => {
-                self.log.lock().push(LogEntry { action: rule.action, msg: rule.msg.clone(), fid });
-            }
+            RuleAction::Alert | RuleAction::Log => self.log.lock().push(Alert { rule: ri, fid }),
         }
     }
 }
@@ -375,7 +423,17 @@ impl SnortLite {
     /// Snapshot of the alert/log output (for the §VII-C equivalence tests).
     #[must_use]
     pub fn log(&self) -> Vec<LogEntry> {
-        self.engine.log.lock().clone()
+        let rules = &self.engine.rules;
+        self.engine
+            .log
+            .lock()
+            .iter()
+            .map(|a| LogEntry {
+                action: rules[a.rule].action,
+                msg: rules[a.rule].msg.clone(),
+                fid: a.fid,
+            })
+            .collect()
     }
 
     /// Clears the output log.
@@ -424,7 +482,7 @@ impl Nf for SnortLite {
         ctx.ops.payload_bytes_scanned += payload.len() as u64;
         let fid = packet.fid().unwrap_or_default();
         if let Some(ri) = self.engine.inspect(payload, &candidates) {
-            self.engine.record(&self.engine.rules[ri], fid);
+            self.engine.record(ri, fid);
         }
         // SPEEDYBOX-INTEGRATION-BEGIN (snort: 14 lines)
         if let Some(inst) = ctx.instrument {
@@ -438,7 +496,7 @@ impl Nf for SnortLite {
                     let payload = sfctx.packet.payload().unwrap_or(&[]);
                     sfctx.ops.payload_bytes_scanned += payload.len() as u64;
                     if let Some(ri) = engine.inspect(payload, &flow_candidates) {
-                        engine.record(&engine.rules[ri], sfctx.fid);
+                        engine.record(ri, sfctx.fid);
                     }
                 }),
                 ctx.ops,
@@ -457,9 +515,14 @@ impl Nf for SnortLite {
     }
 
     fn restore_state(&mut self, snapshot: &StateSnapshot) -> bool {
-        let Some(log) = snapshot.downcast::<Vec<LogEntry>>() else {
+        // Alerts name rules by index, so only a snapshot whose indices fit
+        // this rule set is accepted.
+        let Some(log) = snapshot.downcast::<Vec<Alert>>() else {
             return false;
         };
+        if log.iter().any(|a| a.rule >= self.engine.rules.len()) {
+            return false;
+        }
         *self.engine.log.lock() = log.clone();
         true
     }
@@ -647,6 +710,50 @@ mod tests {
         let mut miss = tcp_packet(80, b"HDR then body");
         nf.process(&mut miss, &mut ctx);
         assert!(nf.log().is_empty());
+    }
+
+    #[test]
+    fn saturated_prefilter_still_finds_first_matching_rule() {
+        // The payload holds every rule's first content, more rules than the
+        // hit set tracks; only the last rule's second content is present,
+        // and as a nocase content it is not in the automaton.
+        let rules: String = (0..=HitSet::CAP)
+            .map(|i| {
+                let second = if i == HitSet::CAP {
+                    r#"content:"tail"; nocase;"#
+                } else {
+                    r#"content:"absent";"#
+                };
+                format!("alert tcp any any -> any any (msg:\"r{i}\"; content:\"k{i}\"; {second})\n")
+            })
+            .collect();
+        let mut nf = SnortLite::from_rules_text(&rules).unwrap();
+        let payload: String =
+            (0..=HitSet::CAP).map(|i| format!("k{i} ")).collect::<String>() + "tail";
+        let mut ops = speedybox_mat::OpCounter::default();
+        let mut ctx = NfContext::baseline(&mut ops);
+        nf.process(&mut tcp_packet(80, payload.as_bytes()), &mut ctx);
+        let log = nf.log();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].msg, format!("r{}", HitSet::CAP));
+    }
+
+    #[test]
+    fn log_snapshot_round_trips_and_rejects_foreign_rules() {
+        let mut nf = ids();
+        let mut ops = speedybox_mat::OpCounter::default();
+        let mut ctx = NfContext::baseline(&mut ops);
+        nf.process(&mut tcp_packet(80, b"GET /evil"), &mut ctx);
+        let snap = nf.snapshot_state().unwrap();
+        let before = nf.log();
+        nf.crash();
+        assert!(nf.log().is_empty());
+        assert!(nf.restore_state(&snap));
+        assert_eq!(nf.log(), before);
+        // A rule set too small for the snapshot's rule indices refuses it.
+        let mut small =
+            SnortLite::from_rules_text(r#"alert tcp any any -> any any (content:"x";)"#).unwrap();
+        assert!(!small.restore_state(&snap));
     }
 
     #[test]

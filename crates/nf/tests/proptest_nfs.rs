@@ -5,10 +5,12 @@ use std::net::SocketAddrV4;
 
 use proptest::prelude::*;
 use speedybox_mat::OpCounter;
+use speedybox_nf::inspect::Match;
 use speedybox_nf::maglev::Maglev;
 use speedybox_nf::mazunat::MazuNat;
+use speedybox_nf::snort::{ContentSpec, LogEntry, PortSpec, Rule, RuleAction, SnortLite};
 use speedybox_nf::{AhoCorasick, Nf, NfContext, Regex};
-use speedybox_packet::{HeaderField, Packet, PacketBuilder};
+use speedybox_packet::{HeaderField, Packet, PacketBuilder, Protocol};
 
 fn backends(n: usize) -> Vec<(String, SocketAddrV4)> {
     (0..n)
@@ -23,6 +25,99 @@ fn backends(n: usize) -> Vec<(String, SocketAddrV4)> {
 
 /// Primes for the Maglev table size, as the Maglev paper requires.
 const PRIMES: [usize; 5] = [53, 101, 211, 251, 509];
+
+/// Every occurrence of every pattern, by end offset and then pattern index.
+fn naive_matches(patterns: &[Vec<u8>], haystack: &[u8]) -> Vec<Match> {
+    let mut out = Vec::new();
+    for end in 1..=haystack.len() {
+        for (pattern, p) in patterns.iter().enumerate() {
+            if !p.is_empty() && end >= p.len() && haystack[end - p.len()..end] == p[..] {
+                out.push(Match { pattern, end });
+            }
+        }
+    }
+    out
+}
+
+/// Checks `find_all`, `find_first` and `matching_patterns` against naive
+/// enumeration.
+fn check_against_naive(patterns: &[Vec<u8>], haystack: &[u8]) {
+    let ac = AhoCorasick::new(patterns);
+    let got = ac.find_all(haystack);
+    prop_assert!(got.windows(2).all(|w| w[0].end <= w[1].end), "not in end order: {:?}", got);
+    prop_assert_eq!(ac.find_first(haystack), got.first().copied());
+    let mut sorted = got;
+    sorted.sort_by_key(|m| (m.end, m.pattern));
+    let want = naive_matches(patterns, haystack);
+    prop_assert_eq!(&sorted, &want);
+    let mut want_set: Vec<usize> = want.iter().map(|m| m.pattern).collect();
+    want_set.sort_unstable();
+    want_set.dedup();
+    prop_assert_eq!(ac.matching_patterns(haystack), want_set);
+}
+
+/// Bytes over a small alphabet, so patterns overlap, share prefixes and
+/// suffixes, and actually occur.
+fn small(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(prop::sample::select(b"abc".to_vec()), len)
+}
+
+/// Patterns over `abc`, plus a duplicate, a prefix and a suffix of them.
+fn small_patterns() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    prop::collection::vec(small(1..6), 1..8).prop_map(|mut ps| {
+        let first = ps[0].clone();
+        let last = ps[ps.len() - 1].clone();
+        ps.push(first.clone());
+        ps.push(first[..first.len().div_ceil(2)].to_vec());
+        ps.push(last[last.len() / 2..].to_vec());
+        ps
+    })
+}
+
+/// Alphabet of the Snort differential: case matters to `nocase`.
+const SNORT_ALPHABET: &[u8] = b"abcAB";
+
+/// One content spec over [`SNORT_ALPHABET`], with random modifiers.
+fn content_spec() -> impl Strategy<Value = ContentSpec> {
+    (
+        prop::collection::vec(prop::sample::select(SNORT_ALPHABET.to_vec()), 1..4),
+        prop::bool::ANY,
+        prop_oneof![Just(0usize), 1usize..6],
+        prop_oneof![Just(None), (1usize..12).prop_map(Some)],
+    )
+        .prop_map(|(pattern, nocase, offset, depth)| ContentSpec {
+            pattern,
+            nocase,
+            offset,
+            depth,
+        })
+}
+
+/// A rule with header constraints, 0–3 contents and at most one pcre
+/// (at least one of the two).
+fn snort_rule() -> impl Strategy<Value = Rule> {
+    const PCRES: [&str; 5] = ["/a+b/", "/^ab/", "/c[aB]c/", "/B$/", "/(ab|ba)c/"];
+    (
+        prop::sample::select(vec![RuleAction::Pass, RuleAction::Alert, RuleAction::Log]),
+        prop::sample::select(vec![PortSpec::Any, PortSpec::Port(80), PortSpec::Port(8080)]),
+        prop::collection::vec(content_spec(), 0..4),
+        prop_oneof![Just(None::<&str>), prop::sample::select(PCRES.to_vec()).prop_map(Some)],
+    )
+        .prop_map(|(action, dst_port, mut contents, pcre): (_, _, _, Option<&str>)| {
+            if contents.is_empty() && pcre.is_none() {
+                contents.push(ContentSpec::plain(b"ab"));
+            }
+            Rule {
+                action,
+                protocol: Protocol::Tcp,
+                src_port: PortSpec::Any,
+                dst_port,
+                contents,
+                pcres: pcre.map(|p| Regex::new(p).unwrap()).into_iter().collect(),
+                msg: String::new(),
+            }
+        })
+}
 
 proptest! {
     /// The Maglev lookup table is always fully populated and near-balanced
@@ -110,15 +205,59 @@ proptest! {
         patterns in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..6), 1..6),
         haystack in prop::collection::vec(any::<u8>(), 0..300),
     ) {
-        let ac = AhoCorasick::new(&patterns);
-        let got = ac.matching_patterns(&haystack);
-        let want: Vec<usize> = patterns
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| haystack.windows(p.len()).any(|w| w == p.as_slice()))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(got, want);
+        check_against_naive(&patterns, &haystack);
+    }
+
+    /// The same over a three-letter alphabet, where failure links, shared
+    /// prefixes, suffix patterns, duplicates and overlapping occurrences
+    /// are the common case.
+    #[test]
+    fn aho_corasick_small_alphabet_matches_naive(
+        patterns in small_patterns(),
+        haystack in small(0..200),
+    ) {
+        check_against_naive(&patterns, &haystack);
+    }
+
+    /// SnortLite logs exactly what a reference that tries every rule in
+    /// order logs: the first rule whose header and payload checks hold,
+    /// unless it is a pass rule. Short patterns over a five-letter
+    /// alphabet make a payload hit many rules, more than the engine's
+    /// prefilter tracks one by one.
+    #[test]
+    fn snort_matches_first_rule_reference(
+        rules in prop::collection::vec(snort_rule(), 1..20),
+        packets in prop::collection::vec(
+            (
+                prop::sample::select(vec![80u16, 8080, 9000]),
+                prop::collection::vec(prop::sample::select(SNORT_ALPHABET.to_vec()), 0..40),
+            ),
+            1..12,
+        ),
+    ) {
+        let rules: Vec<Rule> =
+            rules.into_iter().enumerate().map(|(i, r)| Rule { msg: format!("rule {i}"), ..r }).collect();
+        let mut ids = SnortLite::new(rules.clone());
+        let mut want = Vec::new();
+        for (dst_port, payload) in &packets {
+            let mut p = PacketBuilder::tcp()
+                .src("10.0.0.1:1234".parse().unwrap())
+                .dst(format!("10.0.0.2:{dst_port}").parse().unwrap())
+                .payload(payload)
+                .build();
+            let fid = p.five_tuple().unwrap().fid();
+            p.set_fid(fid);
+            let mut counter = OpCounter::default();
+            let mut ctx = NfContext::baseline(&mut counter);
+            prop_assert!(ids.process(&mut p, &mut ctx).survives());
+            let first = rules.iter().find(|r| {
+                r.matches_header(Protocol::Tcp, 1234, *dst_port) && r.matches_payload(payload)
+            });
+            if let Some(r) = first.filter(|r| r.action != RuleAction::Pass) {
+                want.push(LogEntry { action: r.action, msg: r.msg.clone(), fid });
+            }
+        }
+        prop_assert_eq!(ids.log(), want);
     }
 
     /// The regex compiler is total (arbitrary patterns either compile or
