@@ -6,10 +6,16 @@
 //! Clocks are synthetic ticks (one per operation), so the timer-wheel
 //! cascade depth is deterministic per iteration; only the measured wall
 //! time varies with the machine.
+//!
+//! `flow_lifecycle` measures the per-flow control plane end to end: chain1
+//! flows (SYN, two data packets, FIN) through `BessChain` at batch 32.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use speedybox_mat::{AdmissionPolicy, FlowTable, FID_SPACE};
-use speedybox_packet::Fid;
+use speedybox_packet::{Fid, Packet, PacketBuilder, TcpFlags};
+use speedybox_platform::bess::BessChain;
+use speedybox_platform::chains::chain1;
+use speedybox_platform::runtime::SboxConfig;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -128,5 +134,65 @@ fn bench_eviction_churn(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_install, bench_lookup, bench_eviction_churn);
+/// Batch size of the lifecycle benchmark (the perfbench churn workload's).
+const LIFECYCLE_BATCH: usize = 32;
+/// Packets per lifecycle: SYN, data, data, FIN.
+const LIFECYCLE_STAGES: usize = 4;
+
+/// Batch `b` of a pipelined churn: lane `j` is at stage `(b + j) % 4` of
+/// its current flow, so every batch opens 8 flows, carries 16 data packets
+/// and closes 8 — one batch is 8 complete flow lifecycles.
+fn lifecycle_batch(b: usize) -> Vec<Packet> {
+    (0..LIFECYCLE_BATCH)
+        .map(|j| {
+            let stage = (b + j) % LIFECYCLE_STAGES;
+            let flow = ((b + j) / LIFECYCLE_STAGES) * LIFECYCLE_BATCH + j;
+            let flags = match stage {
+                0 => TcpFlags::SYN,
+                3 => TcpFlags::FIN | TcpFlags::ACK,
+                _ => TcpFlags::ACK,
+            };
+            let port = 10_000 + u16::try_from(flow % 20_000).expect("port fits");
+            PacketBuilder::tcp()
+                .src(format!("10.1.{}.{}:{port}", flow % 200, flow % 199 + 1).parse().unwrap())
+                .dst("10.0.0.2:80".parse().unwrap())
+                .flags(flags)
+                .payload(b"lifecycle")
+                .build()
+        })
+        .collect()
+}
+
+fn bench_flow_lifecycle(c: &mut Criterion) {
+    const TEMPLATES: usize = 256;
+    let flows_per_batch = LIFECYCLE_BATCH / LIFECYCLE_STAGES;
+    let templates: Vec<Vec<Packet>> = (0..TEMPLATES).map(lifecycle_batch).collect();
+    let (nfs, _handles) = chain1(4);
+    let config = SboxConfig { batch_size: LIFECYCLE_BATCH, ..SboxConfig::default() };
+    let mut chain = BessChain::speedybox_with(nfs, config);
+    let pool = Arc::clone(chain.pool());
+    let mut out = Vec::with_capacity(LIFECYCLE_BATCH);
+    let mut next = 0usize;
+    let mut g = c.benchmark_group("flow_lifecycle");
+    // One iteration = one batch = 8 whole chain1 flows: ns per flow is
+    // ns/iter divided by 8, and the elem/s rate is flows per second.
+    g.throughput(Throughput::Elements(flows_per_batch as u64));
+    g.bench_function("chain1_batch32", |b| {
+        b.iter_batched(
+            || {
+                // rx (untimed): pooled copies of the next template batch.
+                next = (next + 1) % TEMPLATES;
+                pool.copy_packets(&templates[next])
+            },
+            |mut input| {
+                chain.process_batch_into(&mut input, &mut out);
+                pool.free_batch(out.drain(..).filter_map(|o| o.packet));
+            },
+            criterion::BatchSize::SmallInput,
+        );
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_install, bench_lookup, bench_eviction_churn, bench_flow_lifecycle);
 criterion_main!(benches);

@@ -17,6 +17,7 @@
 //! (§IV-B: "the APIs seek to only record NF behaviors ... the modifications
 //! do not change the original processing logic").
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use speedybox_packet::{Fid, Packet};
@@ -71,7 +72,7 @@ impl NfInstrument {
     pub fn add_state_function(
         &self,
         fid: Fid,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         access: PayloadAccess,
         handler: impl Fn(&mut crate::state_fn::SfContext<'_>) + Send + Sync + 'static,
         ops: &mut OpCounter,
@@ -92,7 +93,7 @@ impl NfInstrument {
     pub fn register_event(
         &self,
         fid: Fid,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         condition: impl Fn(Fid) -> bool + Send + Sync + 'static,
         update: impl Fn(Fid) -> RulePatch + Send + Sync + 'static,
     ) {

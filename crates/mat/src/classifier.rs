@@ -283,17 +283,19 @@ impl PacketClassifier {
     }
 
     /// The steering decision proper. Wait-free for already-tracked flows
-    /// (one direct-index lookup + atomic field updates); only a flow's
-    /// *first* packet takes the table's writer path to open its slot.
+    /// (one borrowed flow-table read + atomic field updates, no `Arc`
+    /// clone); only a flow's *first* packet takes the table's writer path
+    /// to open its slot.
     fn steer(&self, fid: Fid, tuple: FiveTuple, now: u64, is_syn: bool) -> PacketClass {
         let cell = self.cell(fid);
-        let entry = match self.table.lookup(fid) {
-            Some((handle, entry)) => {
-                self.table.touch(handle, now);
-                entry
-            }
+        let tracked = self.table.read(fid, |handle, entry| {
+            self.table.touch(handle, now);
+            self.steer_entry(entry, tuple, is_syn)
+        });
+        let class = match tracked {
+            Some(class) => class,
             None => match self.table.open_with(fid, now, || Arc::new(FlowEntry::new(tuple))) {
-                Opened::Existing { value, .. } => value,
+                Opened::Existing { value, .. } => self.steer_entry(&value, tuple, is_syn),
                 Opened::Created { value, evicted, .. } => {
                     if let Some(cell) = cell {
                         cell.add_flows_opened(1);
@@ -309,7 +311,7 @@ impl PacketClassifier {
                             hook(victim.fid);
                         }
                     }
-                    value
+                    self.steer_entry(&value, tuple, is_syn)
                 }
                 Opened::Rejected => {
                     if let Some(cell) = cell {
@@ -319,28 +321,37 @@ impl PacketClassifier {
                 }
             },
         };
-        let class = if entry.owner != tuple {
-            PacketClass::Collision
-        } else if self.handshake_aware && is_syn && !entry.recorded.load(Relaxed) {
-            // §III: handshake packets precede the "initial packet";
-            // they ride the original chain without recording.
-            PacketClass::Handshake
-        } else if entry.recorded.compare_exchange(false, true, Relaxed, Relaxed).is_ok() {
-            // The CAS guarantees exactly one packet is steered Initial per
-            // flow slot even under concurrent classification.
-            PacketClass::Initial
-        } else {
-            PacketClass::Subsequent
-        };
-        if class != PacketClass::Collision {
-            entry.packets.fetch_add(1, Relaxed);
-        }
         if let Some(cell) = cell {
             match class {
                 PacketClass::Collision => cell.add_fid_collisions(1),
                 PacketClass::Handshake => cell.add_handshake_packets(1),
                 _ => {}
             }
+        }
+        class
+    }
+
+    /// Steers one packet against its flow's entry: collision check,
+    /// handshake gating, and the exactly-once Initial claim.
+    fn steer_entry(&self, entry: &FlowEntry, tuple: FiveTuple, is_syn: bool) -> PacketClass {
+        let class = if entry.owner != tuple {
+            PacketClass::Collision
+        } else if self.handshake_aware && is_syn && !entry.recorded.load(Relaxed) {
+            // §III: handshake packets precede the "initial packet";
+            // they ride the original chain without recording.
+            PacketClass::Handshake
+        } else if !entry.recorded.load(Relaxed)
+            && entry.recorded.compare_exchange(false, true, Relaxed, Relaxed).is_ok()
+        {
+            // The CAS guarantees exactly one packet is steered Initial per
+            // flow slot even under concurrent classification; the plain
+            // load before it lets every later packet skip the locked RMW.
+            PacketClass::Initial
+        } else {
+            PacketClass::Subsequent
+        };
+        if class != PacketClass::Collision {
+            entry.packets.fetch_add(1, Relaxed);
         }
         class
     }
@@ -444,12 +455,17 @@ impl PacketClassifier {
     #[must_use]
     pub fn peek(&self, tuple: &FiveTuple) -> PacketClass {
         let fid = tuple.fid();
-        match self.table.get(fid) {
-            Some(s) if s.owner == *tuple && s.recorded.load(Relaxed) => PacketClass::Subsequent,
-            Some(s) if s.owner == *tuple => PacketClass::Initial,
-            Some(_) => PacketClass::Collision,
-            None => PacketClass::Initial,
-        }
+        self.table
+            .read(fid, |_, s| {
+                if s.owner != *tuple {
+                    PacketClass::Collision
+                } else if s.recorded.load(Relaxed) {
+                    PacketClass::Subsequent
+                } else {
+                    PacketClass::Initial
+                }
+            })
+            .unwrap_or(PacketClass::Initial)
     }
 
     /// Force-evicts the `k` least-recently-seen flows — the same
@@ -494,7 +510,7 @@ impl PacketClassifier {
     /// Packets seen so far for a flow.
     #[must_use]
     pub fn packets_seen(&self, fid: Fid) -> u64 {
-        self.table.get(fid).map_or(0, |s| s.packets.load(Relaxed))
+        self.table.read(fid, |_, s| s.packets.load(Relaxed)).unwrap_or(0)
     }
 
     /// Retired flow-slot values not yet reclaimed (removed, evicted or

@@ -274,7 +274,11 @@ fn lower_field(field: HeaderField, value: FieldValue) -> MicroOp {
 /// once per rule install or Event-Table rewrite instead of per packet).
 #[must_use]
 pub fn compile(action: &ConsolidatedAction) -> CompiledProgram {
-    let mut ops = Vec::new();
+    // Exact size: decaps, encaps, one op per modified field, and the
+    // trailing checksum adjustment.
+    let mut ops = Vec::with_capacity(
+        action.net_decaps() + action.net_encaps().len() + action.modifies().len() + 1,
+    );
     if action.is_drop() {
         ops.push(MicroOp::Drop);
         return CompiledProgram { ops };

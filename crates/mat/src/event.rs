@@ -7,12 +7,12 @@
 //! the registered conditions and, when one fires, patches the flow's rule
 //! and re-consolidates — Fig 3's workflow.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use speedybox_packet::Fid;
+use speedybox_packet::{Fid, FidMap};
 
 use crate::action::HeaderAction;
 use crate::local::NfId;
@@ -83,8 +83,9 @@ pub struct Event {
     pub fid: Fid,
     /// The NF whose rule the patch applies to.
     pub nf: NfId,
-    /// Diagnostic name.
-    pub name: String,
+    /// Diagnostic name. NFs register events per flow, so a `&'static
+    /// str` name is kept borrowed rather than copied into a `String`.
+    pub name: Cow<'static, str>,
     /// If true the event is deregistered after it fires once.
     pub one_shot: bool,
     condition: CondHandler,
@@ -96,7 +97,7 @@ impl Event {
     pub fn new(
         fid: Fid,
         nf: NfId,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         condition: impl Fn(Fid) -> bool + Send + Sync + 'static,
         update: impl Fn(Fid) -> RulePatch + Send + Sync + 'static,
     ) -> Self {
@@ -150,7 +151,7 @@ impl fmt::Debug for Event {
 /// use std::sync::Arc;
 ///
 /// use speedybox_mat::{Event, EventTable, HeaderAction, NfId, OpCounter, RulePatch};
-/// use speedybox_packet::Fid;
+/// use speedybox_packet::{Fid, FidMap};
 ///
 /// let table = EventTable::new();
 /// let tripped = Arc::new(AtomicBool::new(false));
@@ -170,7 +171,7 @@ impl fmt::Debug for Event {
 /// ```
 #[derive(Debug, Default)]
 pub struct EventTable {
-    events: RwLock<HashMap<Fid, Vec<Event>>>,
+    events: RwLock<FidMap<Vec<Event>>>,
     /// Optional telemetry sink (events-fired counter). Set once, after
     /// construction, because the table is created inside `GlobalMat` and
     /// shared as an `Arc`.

@@ -14,14 +14,16 @@
 //!   holding `(Fid, Arc<T>)` plus the authoritative `touch` stamp.
 //!   [`FlowHandle`] names a slot; it replaces the ad-hoc map values.
 //! * **Direct FID index.** A lazily-chunked `AtomicU32` array maps each
-//!   FID in the shard's slice to its slot (+1; 0 = absent), so a lookup is
-//!   index load → slot load → owner check: wait-free, no hashing, no
-//!   generation clone.
+//!   FID in the shard's slice to its slot (+1; 0 = absent), so a read is
+//!   index load → borrowed slot read → owner check: wait-free, no hashing,
+//!   no `Arc` clone ([`FlowTable::read`]).
 //! * **Timer wheel.** Each shard embeds a [`TimerWheel`] scheduled at
 //!   every entry's `touch` tick. The wheel is lazy — touching a flow never
 //!   moves its item; pops re-check `touch` and reschedule busy flows — so
 //!   idle expiry and LRU victim selection are amortized O(1) against the
-//!   deterministic packet clock.
+//!   deterministic packet clock. Items left behind by removed entries are
+//!   compacted away once they outnumber twice the shard's slots, so the
+//!   wheel stays O(slots) even when nothing ever pops it.
 //! * **Bounded capacity.** `capacity` caps live entries (enforced per
 //!   shard at ⌈capacity/shards⌉ plus a global check; exact in the
 //!   single-threaded deterministic model). When full, [`AdmissionPolicy`]
@@ -34,7 +36,7 @@
 //! retired list — the same path [`FlowTable::pending_generations`] /
 //! [`FlowTable::collect_generations`] drain.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::{Arc, OnceLock};
 
 use arcswap::ArcSwap;
@@ -48,6 +50,10 @@ pub const FID_SPACE: usize = 1 << 20;
 
 /// Slots (and index cells) per lazily-allocated chunk.
 const CHUNK: usize = 4096;
+
+/// Wheel items a shard may hold beyond twice its allocated slots before
+/// [`FlowTable::compact_wheel`] runs.
+const WHEEL_SLACK: usize = 64;
 
 /// What to do with a new flow when the table is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -148,6 +154,9 @@ struct ShardWriter {
     live: usize,
     /// Lazy eviction wheel over this shard's slots.
     wheel: TimerWheel,
+    /// Scratch for [`FlowTable::compact_wheel`]: per slot, the earliest
+    /// deadline among its wheel items and whether one was kept.
+    earliest: Vec<(u64, bool)>,
 }
 
 /// A lazily-allocated chunk of the slot arena.
@@ -173,6 +182,7 @@ impl<T> TableShard<T> {
                 allocated: 0,
                 live: 0,
                 wheel: TimerWheel::new(),
+                earliest: Vec::new(),
             }),
         }
     }
@@ -288,49 +298,64 @@ impl<T: Send + Sync> FlowTable<T> {
         (idx & (self.shards.len() - 1), idx >> self.shard_bits)
     }
 
-    /// Looks up a flow. Wait-free: one index load, one RCU cell load, one
-    /// owner check. Returns the slot handle for follow-up
+    /// Runs `f` on the flow's slot handle and a borrow of its value, if
+    /// the flow is present. Wait-free: one index load, one borrowed RCU
+    /// read ([`ArcSwap::with`]: two guard-counter RMWs, no `Arc` strong
+    /// count taken), one owner check. The handle serves follow-up
     /// [`FlowTable::touch`] calls.
-    #[must_use]
-    pub fn lookup(&self, fid: Fid) -> Option<(FlowHandle, Arc<T>)> {
+    ///
+    /// `f` runs under the slot's reader guard, so it must not call back
+    /// into this table's writer side (`insert`, `remove`, ...): a write to
+    /// the same slot from inside `f` could not drain its retired value.
+    /// Clone the `Arc` out and act after `read` returns instead.
+    pub fn read<R>(&self, fid: Fid, f: impl FnOnce(FlowHandle, &Arc<T>) -> R) -> Option<R> {
         let (s, local) = self.shard_of(fid);
         let shard = &self.shards[s];
-        let cell = shard.index_cell(local)?;
-        let slot_plus_one = cell.load(SeqCst);
+        let slot_plus_one = shard.index_cell(local)?.load(SeqCst);
         if slot_plus_one == 0 {
             return None;
         }
         let slot = slot_plus_one - 1;
-        let val = shard.slot(slot).val.load();
-        match val.as_ref() {
+        shard.slot(slot).val.with(|val| match val {
             // Owner check: the slot may have been recycled to a different
-            // FID between the index load and the cell load; a mismatch
+            // FID between the index load and the cell read; a mismatch
             // linearizes as "absent".
             Some((owner, value)) if *owner == fid => {
                 let handle =
                     FlowHandle { shard: u32::try_from(s).expect("shard count fits u32"), slot };
-                Some((handle, Arc::clone(value)))
+                Some(f(handle, value))
             }
             _ => None,
-        }
+        })
+    }
+
+    /// Looks up a flow, returning its slot handle and a clone of its
+    /// value. Wait-free; see [`FlowTable::read`], which serves callers
+    /// that only need to look at the value.
+    #[must_use]
+    pub fn lookup(&self, fid: Fid) -> Option<(FlowHandle, Arc<T>)> {
+        self.read(fid, |handle, value| (handle, Arc::clone(value)))
     }
 
     /// The value for a flow, if present. Wait-free.
     #[must_use]
     pub fn get(&self, fid: Fid) -> Option<Arc<T>> {
-        self.lookup(fid).map(|(_, v)| v)
+        self.read(fid, |_, value| Arc::clone(value))
     }
 
     /// True if the flow is present. Wait-free.
     #[must_use]
     pub fn contains(&self, fid: Fid) -> bool {
-        self.lookup(fid).is_some()
+        self.read(fid, |_, _| ()).is_some()
     }
 
-    /// Stamps the entry's recency. Wait-free (one atomic store); the
-    /// entry's wheel item is *not* moved — eviction re-checks this stamp.
+    /// Stamps the entry's recency. Wait-free: one relaxed store. Recency
+    /// is a hint, so it needs no ordering: the eviction checks read it
+    /// under the writer lock, and a touch racing such a check lands on
+    /// either side of it under any ordering. The entry's wheel item is
+    /// *not* moved — eviction re-checks this stamp.
     pub fn touch(&self, handle: FlowHandle, now: u64) {
-        self.shards[handle.shard as usize].slot(handle.slot).touch.store(now, SeqCst);
+        self.shards[handle.shard as usize].slot(handle.slot).touch.store(now, Relaxed);
     }
 
     /// The entry's last-touch tick (0 if the handle's slot was recycled).
@@ -343,8 +368,7 @@ impl<T: Send + Sync> FlowTable<T> {
     /// Caller holds the shard writer lock.
     fn clear_slot(&self, s: usize, w: &mut ShardWriter, slot: u32) -> Option<(Fid, Arc<T>)> {
         let shard = &self.shards[s];
-        let val = shard.slot(slot).val.load();
-        let (fid, value) = val.as_ref().clone()?;
+        let (fid, value) = shard.slot(slot).val.with(Clone::clone)?;
         // Retires the old (Fid, Arc<T>) into the slot's RCU retired list —
         // the same pending/collect path as a value replacement.
         shard.slot(slot).val.store(Arc::clone(&self.empty));
@@ -363,7 +387,7 @@ impl<T: Send + Sync> FlowTable<T> {
         let shard = &self.shards[s];
         while let Some(item) = w.wheel.pop_earliest() {
             let slot = shard.slot(item.slot);
-            if slot.val.load().is_none() {
+            if slot.val.with(Option::is_none) {
                 continue; // stale item for a freed slot
             }
             let touch = slot.touch.load(SeqCst);
@@ -403,7 +427,41 @@ impl<T: Send + Sync> FlowTable<T> {
         w.wheel.schedule(slot, now);
         w.live += 1;
         self.live.fetch_add(1, SeqCst);
+        if w.wheel.len() > 2 * w.allocated as usize + WHEEL_SLACK {
+            self.compact_wheel(s, w);
+        }
         slot
+    }
+
+    /// Drops the wheel items that can no longer matter: those of empty
+    /// slots, and all but the earliest of an occupied slot's items.
+    ///
+    /// The wheel is lazy, so a removed entry's item stays behind until
+    /// idle expiry or an LRU search pops it, and every publish schedules a
+    /// new one. Without expiry or capacity pressure nothing ever pops, and
+    /// the wheel would grow by one item per flow opened, forever. Run
+    /// whenever the items outnumber twice the slab's slots, compaction
+    /// keeps the wheel O(slots) at amortized O(1) per publish. The lazy
+    /// invariant survives: an occupied slot keeps its earliest item, whose
+    /// deadline is at most that of any item it had. Survivors stay in
+    /// place, so their pop order is unchanged.
+    fn compact_wheel(&self, s: usize, w: &mut ShardWriter) {
+        let shard = &self.shards[s];
+        let ShardWriter { wheel, earliest, allocated, .. } = w;
+        earliest.clear();
+        earliest.resize(*allocated as usize, (u64::MAX, false));
+        for item in wheel.items() {
+            let e = &mut earliest[item.slot as usize].0;
+            *e = (*e).min(item.deadline);
+        }
+        wheel.retain(|item| {
+            let (deadline, kept) = &mut earliest[item.slot as usize];
+            if *kept || item.deadline != *deadline {
+                return false;
+            }
+            *kept = !shard.slot(item.slot).val.with(Option::is_none);
+            *kept
+        });
     }
 
     /// Inserts or replaces the entry for `fid`, stamping it with `now`.
@@ -466,10 +524,7 @@ impl<T: Send + Sync> FlowTable<T> {
             let slot_ref = shard.slot(slot);
             let value = slot_ref
                 .val
-                .load()
-                .as_ref()
-                .as_ref()
-                .map(|(_, v)| Arc::clone(v))
+                .with(|val| val.as_ref().map(|(_, v)| Arc::clone(v)))
                 .expect("indexed slot is occupied");
             slot_ref.touch.store(now, SeqCst);
             return Opened::Existing {
@@ -552,7 +607,7 @@ impl<T: Send + Sync> FlowTable<T> {
             w.wheel.advance(target, &mut due);
             for item in &due {
                 let slot = shard.slot(item.slot);
-                if slot.val.load().is_none() {
+                if slot.val.with(Option::is_none) {
                     continue; // stale item for a freed slot
                 }
                 let touch = slot.touch.load(SeqCst);
@@ -596,7 +651,7 @@ impl<T: Send + Sync> FlowTable<T> {
             // Re-verify under the re-taken lock: the candidate may have
             // been touched or removed in between.
             let shard = &self.shards[s];
-            if shard.slot(slot).val.load().is_none() {
+            if shard.slot(slot).val.with(Option::is_none) {
                 continue;
             }
             let touch = shard.slot(slot).touch.load(SeqCst);
@@ -861,6 +916,52 @@ mod tests {
         t.open_with(fid(2), 3, || Arc::new(9));
         assert!(matches!(t.open_with(fid(3), 4, || Arc::new(10)), Opened::Rejected));
         assert!(matches!(t.open_with(fid(1), 5, || Arc::new(11)), Opened::Existing { .. }));
+    }
+
+    #[test]
+    fn wheel_stays_bounded_under_churn_without_expiry() {
+        // Open/close churn with no idle expiry and no capacity pressure:
+        // nothing pops the wheel, so only compaction bounds it.
+        let t = table(4, 0, AdmissionPolicy::EvictOldest);
+        for i in 0..50_000u32 {
+            let n = (i % 300) * 4099;
+            insert(&t, n, u64::from(i));
+            if i % 3 != 0 {
+                t.remove(fid(n));
+            }
+        }
+        for shard in t.shards.iter() {
+            let w = shard.writer.lock();
+            assert!(
+                w.wheel.len() <= 2 * w.allocated as usize + WHEEL_SLACK,
+                "{} wheel items for {} slots",
+                w.wheel.len(),
+                w.allocated
+            );
+        }
+        // Expiry still finds every idle survivor after the compactions.
+        let live = t.len();
+        assert!(live > 0);
+        assert_eq!(t.expire_idle(1_000_000, 10).len(), live);
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn compaction_keeps_lru_order() {
+        let t = table(1, 0, AdmissionPolicy::EvictOldest);
+        // Cycle slot reuse far past the compaction threshold, leaving
+        // three live flows with known recency.
+        for i in 0..1_000u32 {
+            insert(&t, 100 + i % 7, u64::from(i));
+            t.remove(fid(100 + i % 7));
+        }
+        insert(&t, 1, 2_000);
+        insert(&t, 2, 2_001);
+        insert(&t, 3, 2_002);
+        let (h1, _) = t.lookup(fid(1)).unwrap();
+        t.touch(h1, 2_010);
+        let fids: Vec<Fid> = t.evict_oldest(3).iter().map(|e| e.fid).collect();
+        assert_eq!(fids, vec![fid(2), fid(3), fid(1)]);
     }
 
     #[test]

@@ -8,17 +8,19 @@
 //! the Event Table is consulted first so stateful updates take effect
 //! immediately (Fig 1's workflow).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use speedybox_packet::{Fid, Packet};
+use speedybox_packet::{Fid, FidMap, FidSet, Packet};
 use speedybox_telemetry::{CounterShard, Telemetry};
 
 use crate::compiled::{compile, CompiledProgram};
 use crate::consolidate::{consolidate, ConsolidatedAction};
 use crate::event::EventTable;
-use crate::flow_table::{Admission, AdmissionPolicy, FlowTable, FID_SPACE};
+use crate::flow_table::{Admission, AdmissionPolicy, FlowHandle, FlowTable, FID_SPACE};
 use crate::local::LocalMat;
 use crate::ops::OpCounter;
 use crate::parallel::schedule;
@@ -317,18 +319,20 @@ impl GlobalMat {
         // byte counter) positionally exact when an encap/decap pair
         // annihilates around them during consolidation.
         let mut upstream_delta = 0i64;
+        // Local-MAT rules are borrowed under each table's read lock: only
+        // what the Global rule keeps is cloned, once.
         for local in &self.locals {
-            if let Some(rule) = local.rule(fid) {
+            local.with_rule(fid, |rule| {
                 if !rule.state_functions.is_empty() {
                     batches.push(
-                        SfBatch::new(local.nf(), rule.state_functions)
+                        SfBatch::new(local.nf(), rule.state_functions.clone())
                             .with_len_adjust(upstream_delta),
                     );
                 }
                 upstream_delta +=
                     rule.header_actions.iter().map(crate::HeaderAction::len_delta).sum::<i64>();
                 actions.extend(rule.header_actions.iter().cloned());
-            }
+            });
         }
         let egress_delta = upstream_delta;
         for batch in &mut batches {
@@ -456,59 +460,72 @@ impl GlobalMat {
         self.events.remove_flow(fid);
     }
 
+    /// Fast-path step 1's Event Table half: checks the flow's events and,
+    /// if any fired, patches the owning NFs' Local MATs and
+    /// re-consolidates (Fig 3: "a new consolidated global MAT is
+    /// computed"). Returns whether an event fired. The conditional
+    /// reinstall loses (and the rewrite is abandoned whole) if a
+    /// concurrent eviction tore the flow down in the meantime — the
+    /// caller's re-read then misses.
+    fn fire_events(&self, fid: Fid, cell: Option<&CounterShard>, ops: &mut OpCounter) -> bool {
+        let fired = self.events.check(fid, ops);
+        if fired.is_empty() {
+            return false;
+        }
+        for (nf, patch) in fired {
+            if let Some(local) = self.locals.iter().find(|l| l.nf() == nf) {
+                if let Some(actions) = patch.header_actions {
+                    local.set_header_actions(fid, actions);
+                }
+                if let Some(funcs) = patch.state_functions {
+                    local.set_state_functions(fid, funcs);
+                }
+            }
+        }
+        if self.reinstall_if_present(fid, ops) {
+            if let Some(cell) = cell {
+                cell.add_rule_rewrites(1);
+            }
+        }
+        true
+    }
+
+    /// Counts a fast-path lookup's outcome and the rule's hit.
+    fn count_lookup(cell: Option<&CounterShard>, rule: Option<&Arc<GlobalRule>>) {
+        if let Some(cell) = cell {
+            match rule {
+                Some(_) => cell.add_fastpath_hits(1),
+                None => cell.add_fastpath_misses(1),
+            }
+        }
+        if let Some(r) = rule {
+            r.record_hit();
+        }
+    }
+
     /// Fast-path step 1: consult the Event Table; if events fired, patch
     /// the owning NFs' Local MATs and re-consolidate. Returns the
     /// up-to-date rule, or `None` if the flow has no rule installed.
+    ///
+    /// One borrowed flow-table read serves both the existence check and
+    /// the rule handle; the table is read again only after an Event-Table
+    /// rewrite republished the rule.
     ///
     /// Split from [`GlobalMat::process`] so executors that parallelize
     /// state functions can reuse the event/lookup logic.
     pub fn prepare(&self, fid: Fid, ops: &mut OpCounter) -> Option<Arc<GlobalRule>> {
         ops.mat_lookups += 1;
         let cell = self.cell(fid);
-        if !self.contains(fid) {
-            if let Some(cell) = cell {
-                cell.add_fastpath_misses(1);
-            }
-            return None;
+        let read = |h: FlowHandle, r: &Arc<GlobalRule>| (h, Arc::clone(r));
+        let mut found = self.table.read(fid, read);
+        if found.is_some() && self.fire_events(fid, cell, ops) {
+            found = self.table.read(fid, read);
         }
-        let fired = self.events.check(fid, ops);
-        if !fired.is_empty() {
-            for (nf, patch) in fired {
-                if let Some(local) = self.locals.iter().find(|l| l.nf() == nf) {
-                    if let Some(actions) = patch.header_actions {
-                        local.set_header_actions(fid, actions);
-                    }
-                    if let Some(funcs) = patch.state_functions {
-                        local.set_state_functions(fid, funcs);
-                    }
-                }
-            }
-            // Fig 3: "a new consolidated global MAT is computed". The
-            // conditional reinstall loses (and the rewrite is abandoned)
-            // if a concurrent eviction tore the flow down after the
-            // `contains` check above — the lookup below then misses.
-            if self.reinstall_if_present(fid, ops) {
-                if let Some(cell) = cell {
-                    cell.add_rule_rewrites(1);
-                }
-            }
-        }
-        let rule = match self.table.lookup(fid) {
-            Some((handle, r)) => {
-                self.table.touch(handle, self.next_tick());
-                Some(r)
-            }
-            None => None,
-        };
-        if let Some(cell) = cell {
-            match &rule {
-                Some(_) => cell.add_fastpath_hits(1),
-                None => cell.add_fastpath_misses(1),
-            }
-        }
-        if let Some(r) = &rule {
-            r.record_hit();
-        }
+        let rule = found.map(|(handle, rule)| {
+            self.table.touch(handle, self.next_tick());
+            rule
+        });
+        Self::count_lookup(cell, rule.as_ref());
         rule
     }
 
@@ -518,30 +535,35 @@ impl GlobalMat {
     /// without a rule are simply absent from the result. Duplicate FIDs
     /// are fine.
     #[must_use]
-    pub fn prefetch(&self, fids: &[Fid]) -> HashMap<Fid, Arc<GlobalRule>> {
-        let mut cache = HashMap::with_capacity(fids.len());
+    pub fn prefetch(&self, fids: &[Fid]) -> FidMap<Arc<GlobalRule>> {
+        let mut cache = FidMap::with_capacity_and_hasher(fids.len(), Default::default());
         self.prefetch_into(fids, &mut cache);
         cache
     }
 
     /// [`GlobalMat::prefetch`] into a caller-owned map (cleared first) —
     /// a warm caller re-prefetches batch after batch without allocating.
-    pub fn prefetch_into(&self, fids: &[Fid], cache: &mut HashMap<Fid, Arc<GlobalRule>>) {
+    /// Generic over the map's hasher so [`FidMap`] and std `HashMap`
+    /// callers share it.
+    pub fn prefetch_into<S: BuildHasher>(
+        &self,
+        fids: &[Fid],
+        cache: &mut HashMap<Fid, Arc<GlobalRule>, S>,
+    ) {
         cache.clear();
         for &fid in fids {
-            if cache.contains_key(&fid) {
-                continue;
-            }
-            if let Some(rule) = self.table.get(fid) {
-                cache.insert(fid, rule);
+            if let Entry::Vacant(slot) = cache.entry(fid) {
+                if let Some(rule) = self.table.get(fid) {
+                    slot.insert(rule);
+                }
             }
         }
     }
 
     /// [`GlobalMat::prepare`] against a prefetched rule handle: identical
     /// op accounting and event handling, but the initial existence check
-    /// and final rule fetch are served from `cached` instead of the shard
-    /// lock. Returns the up-to-date rule plus whether an event fired (a
+    /// and final rule fetch are served from `cached` instead of the
+    /// table. Returns the up-to-date rule plus whether an event fired (a
     /// fired event re-consolidates the rule, so the caller's cache entry
     /// for this FID is stale from then on).
     ///
@@ -557,47 +579,15 @@ impl GlobalMat {
         ops.mat_lookups += 1;
         let cell = self.cell(fid);
         let Some(cached) = cached else {
-            if let Some(cell) = cell {
-                cell.add_fastpath_misses(1);
-            }
+            Self::count_lookup(cell, None);
             return (None, false);
         };
-        let fired = self.events.check(fid, ops);
-        if !fired.is_empty() {
-            for (nf, patch) in fired {
-                if let Some(local) = self.locals.iter().find(|l| l.nf() == nf) {
-                    if let Some(actions) = patch.header_actions {
-                        local.set_header_actions(fid, actions);
-                    }
-                    if let Some(funcs) = patch.state_functions {
-                        local.set_state_functions(fid, funcs);
-                    }
-                }
-            }
-            // Fig 3: "a new consolidated global MAT is computed". As in
-            // [`GlobalMat::prepare`], a rewrite that loses to a concurrent
-            // eviction is abandoned whole — the lookup below then misses.
-            if self.reinstall_if_present(fid, ops) {
-                if let Some(cell) = cell {
-                    cell.add_rule_rewrites(1);
-                }
-            }
+        if self.fire_events(fid, cell, ops) {
             let rule = self.rule(fid);
-            if let Some(cell) = cell {
-                match &rule {
-                    Some(_) => cell.add_fastpath_hits(1),
-                    None => cell.add_fastpath_misses(1),
-                }
-            }
-            if let Some(r) = &rule {
-                r.record_hit();
-            }
+            Self::count_lookup(cell, rule.as_ref());
             return (rule, true);
         }
-        if let Some(cell) = cell {
-            cell.add_fastpath_hits(1);
-        }
-        cached.record_hit();
+        Self::count_lookup(cell, Some(cached));
         (Some(Arc::clone(cached)), false)
     }
 
@@ -628,7 +618,7 @@ impl GlobalMat {
         let fids: Vec<Option<Fid>> = packets.iter().map(speedybox_packet::Packet::fid).collect();
         let wanted: Vec<Fid> = fids.iter().flatten().copied().collect();
         let cache = self.prefetch(&wanted);
-        let mut stale: std::collections::HashSet<Fid> = std::collections::HashSet::new();
+        let mut stale = FidSet::default();
         // Flow-affinity memo: real traffic arrives in same-flow runs, so
         // remember the last FID's rule handle and skip the HashMap probe on
         // a run. The memo only ever replaces *where the cached handle comes

@@ -7,11 +7,10 @@
 //! preserved, because reordering them could violate code dependencies
 //! (§IV-B).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use parking_lot::RwLock;
-use speedybox_packet::Fid;
+use speedybox_packet::{Fid, FidMap};
 
 use crate::action::HeaderAction;
 use crate::ops::OpCounter;
@@ -66,14 +65,14 @@ impl LocalRule {
 #[derive(Debug)]
 pub struct LocalMat {
     nf: NfId,
-    rules: RwLock<HashMap<Fid, LocalRule>>,
+    rules: RwLock<FidMap<LocalRule>>,
 }
 
 impl LocalMat {
     /// Creates an empty Local MAT for the NF at `nf`.
     #[must_use]
     pub fn new(nf: NfId) -> Self {
-        Self { nf, rules: RwLock::new(HashMap::new()) }
+        Self { nf, rules: RwLock::new(FidMap::default()) }
     }
 
     /// The owning NF.
@@ -106,10 +105,20 @@ impl LocalMat {
         self.rules.write().entry(fid).or_default().state_functions = funcs;
     }
 
-    /// A snapshot of the flow's rule, if present.
+    /// A snapshot of the flow's rule, if present. Clones every recorded
+    /// action and function; readers that only look at the rule should use
+    /// [`LocalMat::with_rule`].
     #[must_use]
     pub fn rule(&self, fid: Fid) -> Option<LocalRule> {
-        self.rules.read().get(&fid).cloned()
+        self.with_rule(fid, LocalRule::clone)
+    }
+
+    /// Runs `f` on a borrow of the flow's rule, if present, under the
+    /// table's read lock — consolidation and the per-NF replay read rules
+    /// this way without cloning them. `f` must not write to this Local
+    /// MAT (the read lock is held).
+    pub fn with_rule<R>(&self, fid: Fid, f: impl FnOnce(&LocalRule) -> R) -> Option<R> {
+        self.rules.read().get(&fid).map(f)
     }
 
     /// True if the flow has a recorded rule.

@@ -116,21 +116,21 @@ impl FlowTableModel {
         }
     }
 
-    /// Mirror of `FlowTable::lookup`: index load, slot cell load, owner
-    /// check. Wait-free — never touches the writer mutex.
+    /// Mirror of `FlowTable::read`: index load, borrowed slot-cell read
+    /// (`ArcSwap::with`, no strong count taken), owner check. Wait-free —
+    /// never touches the writer mutex.
     pub fn lookup(&self, fid: usize) -> Option<u64> {
         let slot_plus_one = self.index[fid].load(Ordering::SeqCst);
         if slot_plus_one == 0 {
             return None;
         }
-        let val = self.slots[slot_plus_one - 1].load();
-        match val.value() {
+        self.slots[slot_plus_one - 1].with(|val| match val.get() {
             // Owner check: the slot may have been recycled to a different
-            // FID between the index load and the cell load; a mismatch
+            // FID between the index load and the cell read; a mismatch
             // linearizes as "absent".
-            Some((owner, value)) if *owner == fid => Some(*value),
+            Some((owner, value)) if owner == fid => Some(value),
             _ => None,
-        }
+        })
     }
 
     /// Mirror of `FlowTable::insert` (fresh-entry path plus in-place

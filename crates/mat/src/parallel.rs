@@ -49,11 +49,24 @@ pub fn can_parallelize(batch1: PayloadAccess, batch2: PayloadAccess) -> bool {
 /// ```
 #[must_use]
 pub fn schedule_batches(accesses: &[PayloadAccess]) -> Vec<Vec<usize>> {
+    schedule_by(accesses.len(), |i| accesses[i])
+}
+
+/// Convenience: schedule from full batches (no intermediate access list,
+/// so a rule install allocates only the waves themselves).
+#[must_use]
+pub fn schedule(batches: &[SfBatch]) -> Vec<Vec<usize>> {
+    schedule_by(batches.len(), |i| batches[i].access())
+}
+
+/// The greedy wavefront of [`schedule_batches`] over `n` batches whose
+/// accesses `access` reports.
+fn schedule_by(n: usize, access: impl Fn(usize) -> PayloadAccess) -> Vec<Vec<usize>> {
     let mut waves: Vec<Vec<usize>> = Vec::new();
     let mut current: Vec<usize> = Vec::new();
-    for (i, &acc) in accesses.iter().enumerate() {
-        let fits =
-            !current.is_empty() && current.iter().all(|&j| can_parallelize(accesses[j], acc));
+    for i in 0..n {
+        let acc = access(i);
+        let fits = !current.is_empty() && current.iter().all(|&j| can_parallelize(access(j), acc));
         if current.is_empty() || fits {
             current.push(i);
         } else {
@@ -65,13 +78,6 @@ pub fn schedule_batches(accesses: &[PayloadAccess]) -> Vec<Vec<usize>> {
         waves.push(current);
     }
     waves
-}
-
-/// Convenience: schedule from full batches.
-#[must_use]
-pub fn schedule(batches: &[SfBatch]) -> Vec<Vec<usize>> {
-    let accesses: Vec<PayloadAccess> = batches.iter().map(SfBatch::access).collect();
-    schedule_batches(&accesses)
 }
 
 /// The theoretical latency of a schedule assuming each batch costs

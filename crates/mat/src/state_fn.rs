@@ -7,6 +7,7 @@
 //! packet payload ([`PayloadAccess`]), which drives the Table I parallelism
 //! analysis in [`crate::parallel`].
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -87,7 +88,10 @@ pub type SfHandler = Arc<dyn Fn(&mut SfContext<'_>) + Send + Sync>;
 /// MAT without duplication.
 #[derive(Clone)]
 pub struct StateFunction {
-    name: String,
+    /// Borrowed for `&'static str` names (every registry NF), so recording
+    /// a flow's state function allocates no name and cloning one copies
+    /// no bytes.
+    name: Cow<'static, str>,
     access: PayloadAccess,
     handler: SfHandler,
 }
@@ -96,7 +100,7 @@ impl StateFunction {
     /// Wraps `handler` as a state function with the given payload-access
     /// declaration.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         access: PayloadAccess,
         handler: impl Fn(&mut SfContext<'_>) + Send + Sync + 'static,
     ) -> Self {

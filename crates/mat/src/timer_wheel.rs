@@ -94,6 +94,23 @@ impl TimerWheel {
         self.now
     }
 
+    /// Every scheduled item, in no particular order.
+    pub fn items(&self) -> impl Iterator<Item = &WheelItem> {
+        self.buckets.iter().flatten().flatten().chain(&self.overdue)
+    }
+
+    /// Keeps only the items `keep` accepts, leaving the survivors where
+    /// they are (same bucket, same order), so pop order among them is
+    /// unchanged.
+    pub fn retain(&mut self, mut keep: impl FnMut(&WheelItem) -> bool) {
+        let mut len = 0;
+        for bucket in self.buckets.iter_mut().flatten().chain(std::iter::once(&mut self.overdue)) {
+            bucket.retain(&mut keep);
+            len += bucket.len();
+        }
+        self.len = len;
+    }
+
     /// `WHEEL_SLOT_BITS * level` as a shift amount. `level` never exceeds
     /// [`LEVELS`] (= 4), so the cast cannot truncate.
     #[allow(clippy::cast_possible_truncation)]
@@ -386,6 +403,20 @@ mod tests {
         wheel.advance(50, &mut out);
         wheel.schedule(7, 10); // behind the cursor
         assert_eq!(drain_sorted(&mut wheel, 51), vec![7]);
+    }
+
+    #[test]
+    fn retain_drops_items_and_keeps_the_rest_in_order() {
+        let mut wheel = TimerWheel::new();
+        for (slot, deadline) in [(1, 500), (2, 20), (3, 70_000), (4, 20), (5, 21)] {
+            wheel.schedule(slot, deadline);
+        }
+        assert_eq!(wheel.items().count(), 5);
+        wheel.retain(|item| item.slot != 2 && item.slot != 3);
+        assert_eq!(wheel.len(), 3);
+        let order: Vec<u32> = std::iter::from_fn(|| wheel.pop_earliest()).map(|i| i.slot).collect();
+        assert_eq!(order, vec![4, 5, 1]);
+        assert!(wheel.is_empty());
     }
 
     #[test]

@@ -9,28 +9,27 @@
 //! state function counts SYNs (payload-`IGNORE`), and its registered event
 //! flips the flow's header action to `drop` once the threshold is crossed.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use speedybox_mat::event::RulePatch;
 use speedybox_mat::state_fn::PayloadAccess;
 use speedybox_mat::{HeaderAction, StateFunction};
-use speedybox_packet::{Fid, Packet};
+use speedybox_packet::{Fid, FidMap, Packet};
 
 use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot};
 
 /// The two per-flow maps a [`DosGuard`] checkpoint captures.
-type DosGuardCapture = (HashMap<Fid, u64>, HashMap<Fid, bool>);
+type DosGuardCapture = (FidMap<u64>, FidMap<bool>);
 
 /// The DoS-prevention NF.
 #[derive(Debug, Clone)]
 pub struct DosGuard {
-    syn_counts: Arc<Mutex<HashMap<Fid, u64>>>,
+    syn_counts: Arc<Mutex<FidMap<u64>>>,
     threshold: u64,
     /// Flows already blocked on the original path (the fast path blocks
     /// through the event-installed drop action instead).
-    blocked: Arc<Mutex<HashMap<Fid, bool>>>,
+    blocked: Arc<Mutex<FidMap<bool>>>,
 }
 
 impl DosGuard {
@@ -38,9 +37,9 @@ impl DosGuard {
     #[must_use]
     pub fn new(threshold: u64) -> Self {
         Self {
-            syn_counts: Arc::new(Mutex::new(HashMap::new())),
+            syn_counts: Arc::new(Mutex::new(FidMap::default())),
             threshold,
-            blocked: Arc::new(Mutex::new(HashMap::new())),
+            blocked: Arc::new(Mutex::new(FidMap::default())),
         }
     }
 
@@ -56,7 +55,7 @@ impl DosGuard {
         self.syn_count(fid) > self.threshold
     }
 
-    fn observe(counts: &Mutex<HashMap<Fid, u64>>, fid: Fid, is_syn: bool) -> u64 {
+    fn observe(counts: &Mutex<FidMap<u64>>, fid: Fid, is_syn: bool) -> u64 {
         let mut map = counts.lock();
         let c = map.entry(fid).or_insert(0);
         if is_syn {

@@ -140,9 +140,7 @@ pub struct IpFilter {
     /// Verdict when no rule matches.
     default_verdict: AclVerdict,
     /// Per-flow verdict cache.
-    cache: std::sync::Arc<
-        parking_lot::Mutex<std::collections::HashMap<speedybox_packet::Fid, AclVerdict>>,
-    >,
+    cache: std::sync::Arc<parking_lot::Mutex<speedybox_packet::FidMap<AclVerdict>>>,
 }
 
 impl IpFilter {
@@ -153,7 +151,9 @@ impl IpFilter {
         Self {
             rules,
             default_verdict: AclVerdict::Allow,
-            cache: std::sync::Arc::new(parking_lot::Mutex::new(std::collections::HashMap::new())),
+            cache: std::sync::Arc::new(
+                parking_lot::Mutex::new(speedybox_packet::FidMap::default()),
+            ),
         }
     }
 
@@ -249,9 +249,7 @@ impl Nf for IpFilter {
     }
 
     fn restore_state(&mut self, snapshot: &crate::nf::StateSnapshot) -> bool {
-        let Some(cache) =
-            snapshot.downcast::<std::collections::HashMap<speedybox_packet::Fid, AclVerdict>>()
-        else {
+        let Some(cache) = snapshot.downcast::<speedybox_packet::FidMap<AclVerdict>>() else {
             return false;
         };
         *self.cache.lock() = cache.clone();

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use speedybox_mat::event::RulePatch;
 use speedybox_mat::HeaderAction;
-use speedybox_packet::{Fid, HeaderField, Packet};
+use speedybox_packet::{Fid, FidMap, HeaderField, Packet};
 
 use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot};
 
@@ -52,14 +52,14 @@ struct State {
     table: Vec<usize>,
     table_size: usize,
     /// Connection tracking: flow -> backend index.
-    connections: HashMap<Fid, usize>,
+    connections: FidMap<usize>,
     /// What the SpeedyBox fast-path rule currently encodes for each
     /// instrumented flow: `Some(backend)` for a modify, `None` for a drop
     /// (load shed while no backend was healthy). The reroute event fires
     /// whenever this diverges from what the original path would pick *now*
     /// — covering backend failure, recovery after a total outage, and
     /// flows whose very first packet arrived while every backend was dead.
-    rule_target: HashMap<Fid, Option<usize>>,
+    rule_target: FidMap<Option<usize>>,
 }
 
 impl State {
@@ -196,8 +196,8 @@ impl Maglev {
             backends,
             table: Vec::new(),
             table_size,
-            connections: HashMap::new(),
-            rule_target: HashMap::new(),
+            connections: FidMap::default(),
+            rule_target: FidMap::default(),
         };
         state.rebuild_table();
         Self { state: Arc::new(Mutex::new(state)) }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use speedybox_mat::HeaderAction;
-use speedybox_packet::{Fid, FiveTuple, HeaderField, Packet};
+use speedybox_packet::{Fid, FidMap, FiveTuple, HeaderField, Packet};
 
 use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot};
 
@@ -31,7 +31,7 @@ pub struct Mapping {
 #[derive(Debug, Clone)]
 struct NatState {
     /// Forward map: flow -> translation.
-    by_fid: HashMap<Fid, Mapping>,
+    by_fid: FidMap<Mapping>,
     /// Reverse map: external port -> flow (for reply translation).
     by_port: HashMap<u16, Fid>,
     /// Next port to try.
@@ -88,7 +88,7 @@ impl MazuNat {
         Self {
             external_ip,
             state: Arc::new(Mutex::new(NatState {
-                by_fid: HashMap::new(),
+                by_fid: FidMap::default(),
                 by_port: HashMap::new(),
                 next_port: port_range.0,
                 free_ports: Vec::new(),

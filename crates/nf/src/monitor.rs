@@ -6,13 +6,12 @@
 //! (`PayloadAccess::Ignore`), which is what lets it parallelize with
 //! Snort's payload-READ inspection in the Fig 6 chain.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use speedybox_mat::state_fn::PayloadAccess;
 use speedybox_mat::{HeaderAction, StateFunction};
-use speedybox_packet::{Fid, Packet};
+use speedybox_packet::{Fid, FidMap, Packet};
 
 use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot};
 
@@ -28,7 +27,7 @@ pub struct FlowCounters {
 /// The network-monitor NF.
 #[derive(Debug, Clone, Default)]
 pub struct Monitor {
-    counters: Arc<Mutex<HashMap<Fid, FlowCounters>>>,
+    counters: Arc<Mutex<FidMap<FlowCounters>>>,
 }
 
 impl Monitor {
@@ -46,7 +45,7 @@ impl Monitor {
 
     /// A snapshot of all counters (for the §VII-C3 equivalence comparison).
     #[must_use]
-    pub fn snapshot(&self) -> HashMap<Fid, FlowCounters> {
+    pub fn snapshot(&self) -> FidMap<FlowCounters> {
         self.counters.lock().clone()
     }
 
@@ -56,7 +55,7 @@ impl Monitor {
         self.counters.lock().len()
     }
 
-    fn count(counters: &Mutex<HashMap<Fid, FlowCounters>>, fid: Fid, frame_len: usize) {
+    fn count(counters: &Mutex<FidMap<FlowCounters>>, fid: Fid, frame_len: usize) {
         let mut map = counters.lock();
         let c = map.entry(fid).or_default();
         c.packets += 1;
@@ -110,7 +109,7 @@ impl Nf for Monitor {
     }
 
     fn restore_state(&mut self, snapshot: &StateSnapshot) -> bool {
-        let Some(map) = snapshot.downcast::<HashMap<Fid, FlowCounters>>() else {
+        let Some(map) = snapshot.downcast::<FidMap<FlowCounters>>() else {
             return false;
         };
         *self.counters.lock() = map.clone();

@@ -11,21 +11,20 @@
 //! kind of NF §IV-A3 excludes from consolidation. A volume quota is the
 //! event-friendly variant.)
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use speedybox_mat::event::RulePatch;
 use speedybox_mat::state_fn::PayloadAccess;
 use speedybox_mat::{HeaderAction, StateFunction};
-use speedybox_packet::{Fid, Packet};
+use speedybox_packet::{Fid, FidMap, Packet};
 
 use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot};
 
 /// The per-flow quota-enforcement NF.
 #[derive(Debug, Clone)]
 pub struct QuotaLimiter {
-    consumed: Arc<Mutex<HashMap<Fid, u64>>>,
+    consumed: Arc<Mutex<FidMap<u64>>>,
     quota_bytes: u64,
 }
 
@@ -33,7 +32,7 @@ impl QuotaLimiter {
     /// Creates a limiter allowing `quota_bytes` per flow.
     #[must_use]
     pub fn new(quota_bytes: u64) -> Self {
-        Self { consumed: Arc::new(Mutex::new(HashMap::new())), quota_bytes }
+        Self { consumed: Arc::new(Mutex::new(FidMap::default())), quota_bytes }
     }
 
     /// Bytes a flow has consumed so far.
@@ -48,7 +47,7 @@ impl QuotaLimiter {
         self.consumed(fid) > self.quota_bytes
     }
 
-    fn meter(consumed: &Mutex<HashMap<Fid, u64>>, fid: Fid, bytes: u64) -> u64 {
+    fn meter(consumed: &Mutex<FidMap<u64>>, fid: Fid, bytes: u64) -> u64 {
         let mut map = consumed.lock();
         let c = map.entry(fid).or_insert(0);
         *c += bytes;
@@ -116,7 +115,7 @@ impl Nf for QuotaLimiter {
     }
 
     fn restore_state(&mut self, snapshot: &StateSnapshot) -> bool {
-        let Some(map) = snapshot.downcast::<HashMap<Fid, u64>>() else {
+        let Some(map) = snapshot.downcast::<FidMap<u64>>() else {
             return false;
         };
         *self.consumed.lock() = map.clone();

@@ -44,6 +44,7 @@
 
 pub mod builder;
 pub mod checksum;
+pub mod fid_map;
 pub mod field;
 pub mod five_tuple;
 pub mod headers;
@@ -53,6 +54,7 @@ pub mod pool;
 pub mod trace;
 
 pub use builder::PacketBuilder;
+pub use fid_map::{FidBuildHasher, FidHasher, FidMap, FidSet};
 pub use field::{FieldValue, HeaderField};
 pub use five_tuple::{Fid, FiveTuple, Protocol, FID_BITS, FID_MASK};
 pub use packet::{HeaderLayout, Packet, PacketError, TcpFlags};

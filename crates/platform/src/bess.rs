@@ -7,16 +7,15 @@
 //! chain, subsequent packets the Global MAT executor — and that is exactly
 //! [`BessChain::process`].
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use speedybox_mat::{Classification, ClassifyScratch, GlobalRule, OpCounter, PacketClass};
 use speedybox_nf::Nf;
-use speedybox_packet::{Fid, Magazine, Packet, PacketError, PacketPool, PoolStats};
-use speedybox_telemetry::Telemetry;
+use speedybox_packet::{Fid, FidMap, FidSet, Magazine, Packet, PacketError, PacketPool, PoolStats};
+use speedybox_telemetry::{Tally, Telemetry};
 
 use crate::cycles::CycleModel;
-use crate::metrics::{observe, PathKind, ProcessedPacket, RunStats};
+use crate::metrics::{observe, tally, PathKind, ProcessedPacket, RunStats};
 use crate::runtime::{
     classify, fast_path, fast_path_cached, notify_flow_closed, tag_ingress, traverse_chain,
     FastPathScratch, SboxConfig, SpeedyBox,
@@ -29,8 +28,8 @@ use crate::supervisor::{default_log_bound, Supervisor};
 /// locked lookup for the rest of the batch).
 #[derive(Debug, Default)]
 pub(crate) struct BatchState {
-    pub(crate) cache: HashMap<Fid, Arc<GlobalRule>>,
-    pub(crate) stale: HashSet<Fid>,
+    pub(crate) cache: FidMap<Arc<GlobalRule>>,
+    pub(crate) stale: FidSet,
     /// Flow-affinity memo: the last fast-path FID and its rule handle.
     /// Same-flow packet runs skip the `cache` HashMap probe entirely. Only
     /// ever substitutes for the probe — event checks still run per packet —
@@ -82,6 +81,9 @@ pub struct BessChain {
     ops_scratch: Vec<OpCounter>,
     before_cycles: Vec<u64>,
     batch_scratch: BatchState,
+    /// Per-packet telemetry of the batch in flight, flushed into
+    /// `telemetry` once per `process_batch_into` call.
+    tally: Tally,
     /// NF crash/restart supervision (checkpoints + in-flight log).
     /// `None` unless [`SboxConfig::checkpoint_interval`] is non-zero or
     /// [`BessChain::enable_supervision`] was called.
@@ -110,6 +112,7 @@ impl BessChain {
             ops_scratch: Vec::new(),
             before_cycles: Vec::new(),
             batch_scratch: BatchState::default(),
+            tally: Tally::default(),
             supervisor: None,
         }
     }
@@ -151,6 +154,7 @@ impl BessChain {
             ops_scratch: Vec::new(),
             before_cycles: Vec::new(),
             batch_scratch: BatchState::default(),
+            tally: Tally::default(),
             supervisor,
         }
     }
@@ -306,6 +310,17 @@ impl BessChain {
         }
     }
 
+    /// Counts a finished SpeedyBox packet: straight into the hub on the
+    /// per-packet path, into the call's [`Tally`] on the batch path (which
+    /// flushes it once per call).
+    fn account(&mut self, hint: u64, outcome: &ProcessedPacket, batched: bool) {
+        if batched {
+            tally(&mut self.tally, outcome);
+        } else {
+            observe(&self.telemetry, hint, outcome);
+        }
+    }
+
     /// Attributes `work` to the run-to-completion worker owning the FID
     /// slice of `fid_hint` (RSS-style steering: `fid & (workers - 1)`).
     fn attribute_worker(&mut self, fid_hint: u64, work: u64) {
@@ -365,7 +380,7 @@ impl BessChain {
             // Unparseable packet: drop at the classifier (buffer recycled).
             Err(_) => {
                 self.mag.give_packet(packet);
-                self.classifier_drop(cls_ops)
+                self.classifier_drop(cls_ops, false)
             }
             Ok((fid, class, closes_flow)) => {
                 self.finish_speedybox(packet, fid, class, closes_flow, cls_ops, &mut None)
@@ -382,7 +397,7 @@ impl BessChain {
         outcome
     }
 
-    fn classifier_drop(&mut self, mut cls_ops: OpCounter) -> ProcessedPacket {
+    fn classifier_drop(&mut self, mut cls_ops: OpCounter, batched: bool) -> ProcessedPacket {
         cls_ops.drops += 1;
         let cycles = self.model.cycles(&cls_ops);
         let outcome = ProcessedPacket {
@@ -392,7 +407,7 @@ impl BessChain {
             path: PathKind::Initial,
             ops: cls_ops,
         };
-        observe(&self.telemetry, 0, &outcome);
+        self.account(0, &outcome, batched);
         // Parse failures carry no FID; worker 0 owns them by convention.
         self.attribute_worker(0, outcome.work_cycles);
         outcome
@@ -438,10 +453,12 @@ impl BessChain {
             PacketClass::Initial => {
                 // Slow path: original chain with recording, then
                 // consolidation into the Global MAT.
-                let res = {
-                    let instruments = sbox.instruments.clone();
-                    traverse_chain(&mut self.nfs, Some(&instruments), &mut packet, &self.model)
-                };
+                let res = traverse_chain(
+                    &mut self.nfs,
+                    Some(&sbox.instruments),
+                    &mut packet,
+                    &self.model,
+                );
                 let sbox = self.sbox.as_ref().expect("speedybox enabled");
                 let mut install_ops = OpCounter::default();
                 sbox.global.install(fid, &mut install_ops);
@@ -551,15 +568,12 @@ impl BessChain {
                     None => {
                         // Rule evicted (e.g. FID collision cleanup): fall
                         // back to the slow path.
-                        let res = {
-                            let instruments = sbox.instruments.clone();
-                            traverse_chain(
-                                &mut self.nfs,
-                                Some(&instruments),
-                                &mut packet,
-                                &self.model,
-                            )
-                        };
+                        let res = traverse_chain(
+                            &mut self.nfs,
+                            Some(&sbox.instruments),
+                            &mut packet,
+                            &self.model,
+                        );
                         let sbox = self.sbox.as_ref().expect("speedybox enabled");
                         let mut install_ops = OpCounter::default();
                         sbox.global.install(fid, &mut install_ops);
@@ -606,7 +620,7 @@ impl BessChain {
             }
             notify_flow_closed(&mut self.nfs, fid);
         }
-        observe(&self.telemetry, fid.index() as u64, &outcome);
+        self.account(fid.index() as u64, &outcome, batch.is_some());
         self.attribute_worker(fid.index() as u64, outcome.work_cycles);
         outcome
     }
@@ -678,7 +692,7 @@ impl BessChain {
             let outcome = match cls {
                 Err(_) => {
                     self.mag.give_packet(pkt);
-                    self.classifier_drop(*cls_ops)
+                    self.classifier_drop(*cls_ops, true)
                 }
                 Ok(c) => {
                     self.finish_speedybox(pkt, c.fid, c.class, c.closes_flow, *cls_ops, &mut batch)
@@ -700,6 +714,9 @@ impl BessChain {
             .map(|(after, before)| after - before)
             .max()
             .unwrap_or(0);
+        // One telemetry flush per call (shard 0: the totals are what
+        // count, and this chain is the only writer of its packet counters).
+        self.telemetry.shard(0).flush(&mut self.tally);
         // Batch-boundary idle eviction (control plane, not packet work).
         if let Some(sbox) = &self.sbox {
             sbox.tick_idle_eviction();

@@ -2,7 +2,7 @@
 
 use speedybox_mat::OpCounter;
 use speedybox_packet::Packet;
-use speedybox_telemetry::{PathClass, Telemetry};
+use speedybox_telemetry::{PathClass, Tally, Telemetry};
 
 use crate::cycles::CycleModel;
 
@@ -39,6 +39,15 @@ pub fn observe(telemetry: &Telemetry, hint: u64, outcome: &ProcessedPacket) {
     let shard = telemetry.shard(hint);
     shard.record_packet(outcome.path.telemetry_class(), outcome.latency_cycles, outcome.survived());
     shard.add_ops(&outcome.ops.telemetry_totals());
+}
+
+/// [`observe`]'s batch twin: records a finished packet into a per-call
+/// [`Tally`] with plain adds. The batch entry points flush the tally into
+/// the hub once per call ([`speedybox_telemetry::CounterShard::flush`]),
+/// which leaves the hub exactly as per-packet `observe` calls would.
+pub fn tally(tally: &mut Tally, outcome: &ProcessedPacket) {
+    tally.record_packet(outcome.path.telemetry_class(), outcome.latency_cycles, outcome.survived());
+    tally.add_ops(&outcome.ops.telemetry_totals());
 }
 
 /// Outcome of processing one packet.

@@ -19,11 +19,11 @@ use std::sync::Arc;
 use speedybox_mat::{Classification, ClassifyScratch, OpCounter, PacketClass};
 use speedybox_nf::Nf;
 use speedybox_packet::{Fid, Magazine, Packet, PacketError, PacketPool, PoolStats};
-use speedybox_telemetry::Telemetry;
+use speedybox_telemetry::{Tally, Telemetry};
 
 use crate::bess::BatchState;
 use crate::cycles::CycleModel;
-use crate::metrics::{observe, PathKind, ProcessedPacket, RunStats};
+use crate::metrics::{observe, tally, PathKind, ProcessedPacket, RunStats};
 use crate::runtime::{
     classify, fast_path, fast_path_cached, notify_flow_closed, tag_ingress, traverse_chain,
     FastPathScratch, SboxConfig, SpeedyBox,
@@ -63,6 +63,9 @@ pub struct OnvmChain {
     ops_scratch: Vec<OpCounter>,
     before_cycles: Vec<u64>,
     batch_scratch: BatchState,
+    /// Per-packet telemetry of the batch in flight, flushed into
+    /// `telemetry` once per `process_batch_into` call.
+    tally: Tally,
     /// NF crash/restart supervision (checkpoints + in-flight log).
     /// `None` unless [`SboxConfig::checkpoint_interval`] is non-zero or
     /// [`OnvmChain::enable_supervision`] was called.
@@ -93,6 +96,7 @@ impl OnvmChain {
             ops_scratch: Vec::new(),
             before_cycles: Vec::new(),
             batch_scratch: BatchState::default(),
+            tally: Tally::default(),
             supervisor: None,
         }
     }
@@ -164,6 +168,7 @@ impl OnvmChain {
             ops_scratch: Vec::new(),
             before_cycles: Vec::new(),
             batch_scratch: BatchState::default(),
+            tally: Tally::default(),
             supervisor,
         }
     }
@@ -289,6 +294,17 @@ impl OnvmChain {
         }
     }
 
+    /// Counts a finished SpeedyBox packet: straight into the hub on the
+    /// per-packet path, into the call's [`Tally`] on the batch path (which
+    /// flushes it once per call).
+    fn account(&mut self, hint: u64, outcome: &ProcessedPacket, batched: bool) {
+        if batched {
+            tally(&mut self.tally, outcome);
+        } else {
+            observe(&self.telemetry, hint, outcome);
+        }
+    }
+
     /// Attributes `work` to the run-to-completion worker owning the FID
     /// slice of `fid_hint` (RSS-style steering: `fid & (workers - 1)`).
     fn attribute_worker(&mut self, fid_hint: u64, work: u64) {
@@ -358,7 +374,7 @@ impl OnvmChain {
         let outcome = match classify(sbox, &mut packet, &mut cls_ops) {
             Err(_) => {
                 self.mag.give_packet(packet);
-                self.classifier_drop(cls_ops)
+                self.classifier_drop(cls_ops, false)
             }
             Ok((fid, class, closes_flow)) => {
                 self.finish_speedybox(packet, fid, class, closes_flow, cls_ops, &mut None)
@@ -375,7 +391,7 @@ impl OnvmChain {
         outcome
     }
 
-    fn classifier_drop(&mut self, mut cls_ops: OpCounter) -> ProcessedPacket {
+    fn classifier_drop(&mut self, mut cls_ops: OpCounter, batched: bool) -> ProcessedPacket {
         cls_ops.drops += 1;
         let cycles = self.model.cycles(&cls_ops);
         self.stage_cycles[0] += cycles;
@@ -386,7 +402,7 @@ impl OnvmChain {
             path: PathKind::Initial,
             ops: cls_ops,
         };
-        observe(&self.telemetry, 0, &outcome);
+        self.account(0, &outcome, batched);
         // Parse failures carry no FID; worker 0 owns them by convention.
         self.attribute_worker(0, outcome.work_cycles);
         outcome
@@ -430,10 +446,12 @@ impl OnvmChain {
 
         let outcome = match class {
             PacketClass::Initial => {
-                let res = {
-                    let instruments = sbox.instruments.clone();
-                    traverse_chain(&mut self.nfs, Some(&instruments), &mut packet, &self.model)
-                };
+                let res = traverse_chain(
+                    &mut self.nfs,
+                    Some(&sbox.instruments),
+                    &mut packet,
+                    &self.model,
+                );
                 for (i, &c) in res.per_nf_cycles.iter().enumerate() {
                     self.stage_cycles[i + 1] += c;
                 }
@@ -570,15 +588,12 @@ impl OnvmChain {
                         }
                     }
                     None => {
-                        let res = {
-                            let instruments = sbox.instruments.clone();
-                            traverse_chain(
-                                &mut self.nfs,
-                                Some(&instruments),
-                                &mut packet,
-                                &self.model,
-                            )
-                        };
+                        let res = traverse_chain(
+                            &mut self.nfs,
+                            Some(&sbox.instruments),
+                            &mut packet,
+                            &self.model,
+                        );
                         for (i, &c) in res.per_nf_cycles.iter().enumerate() {
                             self.stage_cycles[i + 1] += c;
                         }
@@ -626,7 +641,7 @@ impl OnvmChain {
             }
             notify_flow_closed(&mut self.nfs, fid);
         }
-        observe(&self.telemetry, fid.index() as u64, &outcome);
+        self.account(fid.index() as u64, &outcome, batch.is_some());
         self.attribute_worker(fid.index() as u64, outcome.work_cycles);
         outcome
     }
@@ -692,7 +707,7 @@ impl OnvmChain {
             let outcome = match cls {
                 Err(_) => {
                     self.mag.give_packet(pkt);
-                    self.classifier_drop(*cls_ops)
+                    self.classifier_drop(*cls_ops, true)
                 }
                 Ok(c) => {
                     self.finish_speedybox(pkt, c.fid, c.class, c.closes_flow, *cls_ops, &mut batch)
@@ -714,6 +729,9 @@ impl OnvmChain {
             .map(|(after, before)| after - before)
             .max()
             .unwrap_or(0);
+        // One telemetry flush per call (shard 0: the totals are what
+        // count, and this chain is the only writer of its packet counters).
+        self.telemetry.shard(0).flush(&mut self.tally);
         // Batch-boundary idle eviction (control plane, not packet work).
         if let Some(sbox) = &self.sbox {
             sbox.tick_idle_eviction();

@@ -405,14 +405,15 @@ fn fast_path_execute(
             if !alive {
                 break;
             }
-            let Some(lr) = local.rule(fid) else { continue };
-            for action in &lr.header_actions {
-                ha_ops.parses += 1;
-                if !action.apply(packet, &mut ha_ops).unwrap_or(false) {
-                    alive = false;
-                    break;
+            local.with_rule(fid, |lr| {
+                for action in &lr.header_actions {
+                    ha_ops.parses += 1;
+                    if !action.apply(packet, &mut ha_ops).unwrap_or(false) {
+                        alive = false;
+                        break;
+                    }
                 }
-            }
+            });
         }
         alive
     };

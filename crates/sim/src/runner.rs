@@ -847,7 +847,7 @@ fn compare_hooks(
 
 /// Deterministic rendering of a counter snapshot for error messages.
 fn sorted(
-    map: std::collections::HashMap<speedybox_packet::Fid, speedybox_nf::monitor::FlowCounters>,
+    map: speedybox_packet::FidMap<speedybox_nf::monitor::FlowCounters>,
 ) -> Vec<(u32, u64, u64)> {
     let mut v: Vec<(u32, u64, u64)> =
         map.into_iter().map(|(fid, c)| (fid.value(), c.packets, c.bytes)).collect();

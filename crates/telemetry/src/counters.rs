@@ -6,7 +6,7 @@
 //! selected by a caller-supplied hint (typically the 20-bit FID), so
 //! concurrent writers on different flows touch different lines.
 
-use crate::hist::AtomicHistogram;
+use crate::hist::{AtomicHistogram, HistogramSnapshot};
 use crate::snapshot::TelemetrySnapshot;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -94,6 +94,50 @@ impl OpTotals {
     /// `(name, value)` pairs in exposition order.
     pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         OP_NAMES.iter().copied().zip(self.0.iter().copied())
+    }
+}
+
+/// A plain, single-owner accumulator of finished packets: the per-packet
+/// half of a [`CounterShard`] (packets, delivered/dropped, path counts,
+/// per-path latency histograms and the op mirror) without the atomics.
+///
+/// Batch entry points record each packet of a call here with plain adds
+/// and [`CounterShard::flush`] the tally into the hub once per call, so a
+/// packet costs no locked RMW; the hub then holds exactly what per-packet
+/// [`CounterShard::record_packet`] + [`CounterShard::add_ops`] calls
+/// would have left (the histograms merge associatively). Until the flush,
+/// a snapshot does not see the call's packets — a lower bound, as any
+/// snapshot taken while writers run.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    packets: u64,
+    delivered: u64,
+    dropped: u64,
+    paths: [u64; 3],
+    latency: [HistogramSnapshot; 3],
+    ops: OpTotals,
+}
+
+impl Tally {
+    /// Records a finished packet: the plain twin of
+    /// [`CounterShard::record_packet`].
+    #[inline]
+    pub fn record_packet(&mut self, path: PathClass, latency: u64, delivered: bool) {
+        self.packets += 1;
+        if delivered {
+            self.delivered += 1;
+        } else {
+            self.dropped += 1;
+        }
+        self.paths[path.index()] += 1;
+        self.latency[path.index()].record(latency);
+    }
+
+    /// Adds a packet's abstract-operation counts: the plain twin of
+    /// [`CounterShard::add_ops`].
+    #[inline]
+    pub fn add_ops(&mut self, ops: &OpTotals) {
+        self.ops.merge(ops);
     }
 }
 
@@ -249,6 +293,31 @@ impl CounterShard {
         }
     }
 
+    /// Adds a [`Tally`] into the shard and resets it: one RMW per
+    /// non-zero counter and histogram bucket, however many packets the
+    /// tally holds.
+    pub fn flush(&self, tally: &mut Tally) {
+        if tally.packets == 0 {
+            return;
+        }
+        self.packets.fetch_add(tally.packets, Relaxed);
+        for (cell, n) in [(&self.delivered, tally.delivered), (&self.dropped, tally.dropped)] {
+            if n != 0 {
+                cell.fetch_add(n, Relaxed);
+            }
+        }
+        for (cell, &n) in self.paths.iter().zip(&tally.paths) {
+            if n != 0 {
+                cell.fetch_add(n, Relaxed);
+            }
+        }
+        for (hist, plain) in self.latency.iter().zip(&tally.latency) {
+            hist.merge_from(plain);
+        }
+        self.add_ops(&tally.ops);
+        *tally = Tally::default();
+    }
+
     /// Folds this shard's current values into a snapshot.
     pub(crate) fn drain_into(&self, s: &mut TelemetrySnapshot) {
         s.packets += self.packets.load(Relaxed);
@@ -379,6 +448,37 @@ mod tests {
         assert_eq!(s.latency[2].sum, 50);
         assert_eq!(s.latency_total().count, 3);
         assert_eq!(s.latency_total().sum, 350);
+    }
+
+    #[test]
+    fn flushed_tally_equals_per_packet_records() {
+        let packets = [
+            (PathClass::Initial, 900, true),
+            (PathClass::Subsequent, 120, true),
+            (PathClass::Subsequent, 80, false),
+            (PathClass::Baseline, 0, true),
+            (PathClass::Subsequent, 4000, true),
+        ];
+        let mut ops = OpTotals::default();
+        ops.0[1] = 1; // classifications
+        ops.0[12] = 2; // mat_lookups
+        let direct = Telemetry::new(1);
+        let flushed = Telemetry::new(1);
+        let mut tally = Tally::default();
+        for (i, &(path, latency, delivered)) in packets.iter().enumerate() {
+            direct.shard(0).record_packet(path, latency, delivered);
+            direct.shard(0).add_ops(&ops);
+            tally.record_packet(path, latency, delivered);
+            tally.add_ops(&ops);
+            // Flush mid-way too: flushes compose.
+            if i == 1 {
+                flushed.shard(0).flush(&mut tally);
+            }
+        }
+        flushed.shard(0).flush(&mut tally);
+        // A flush resets the tally: flushing again adds nothing.
+        flushed.shard(0).flush(&mut tally);
+        assert_eq!(flushed.snapshot(), direct.snapshot());
     }
 
     #[test]

@@ -77,8 +77,38 @@ impl AtomicHistogram {
         self.buckets[bucket_of(value)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
         self.sum.fetch_add(value, Relaxed);
-        self.min.fetch_min(value, Relaxed);
-        self.max.fetch_max(value, Relaxed);
+        self.extend_range(value, value);
+    }
+
+    /// Folds a plain histogram (e.g. one batch's worth of observations)
+    /// into this one: one RMW per non-empty bucket plus count, sum and
+    /// the range.
+    pub fn merge_from(&self, other: &HistogramSnapshot) {
+        if other.count == 0 {
+            return;
+        }
+        for (dst, &n) in self.buckets.iter().zip(&other.buckets) {
+            if n != 0 {
+                dst.fetch_add(n, Relaxed);
+            }
+        }
+        self.count.fetch_add(other.count, Relaxed);
+        self.sum.fetch_add(other.sum, Relaxed);
+        self.extend_range(other.min, other.max);
+    }
+
+    /// Lowers `min` to `lo` and raises `max` to `hi` where they extend the
+    /// range. `min` only ever falls and `max` only ever rises, so a value
+    /// inside the range already read needs no compare-and-swap loop: the
+    /// common case is two plain loads.
+    #[inline]
+    fn extend_range(&self, lo: u64, hi: u64) {
+        if lo < self.min.load(Relaxed) {
+            self.min.fetch_min(lo, Relaxed);
+        }
+        if hi > self.max.load(Relaxed) {
+            self.max.fetch_max(hi, Relaxed);
+        }
     }
 
     /// Copies the current state into a plain-old-data snapshot.
@@ -122,6 +152,18 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one observation into this plain histogram — the
+    /// single-owner twin of [`AtomicHistogram::record`], with the same
+    /// bucketing and exact count/sum/min/max.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_of(value)] += 1;
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
     /// Folds `other` into `self`.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -208,6 +250,38 @@ mod tests {
         assert_eq!(s.buckets[1], 1); // 2
         assert_eq!(s.buckets[6], 1); // 100
         assert_eq!(s.buckets[9], 1); // 1000
+    }
+
+    #[test]
+    fn plain_record_and_merge_from_match_atomic_record() {
+        let values = [7u64, 0, 3, 1 << 40, 7, 12, 5];
+        let direct = AtomicHistogram::new();
+        let mut plain = HistogramSnapshot::default();
+        for v in values {
+            direct.record(v);
+            plain.record(v);
+        }
+        assert_eq!(plain, direct.snapshot());
+        // Flushing in two halves through `merge_from` lands on the same
+        // totals as recording one by one.
+        let flushed = AtomicHistogram::new();
+        let (mut a, mut b) = (HistogramSnapshot::default(), HistogramSnapshot::default());
+        values[..3].iter().for_each(|&v| a.record(v));
+        values[3..].iter().for_each(|&v| b.record(v));
+        flushed.merge_from(&a);
+        flushed.merge_from(&b);
+        flushed.merge_from(&HistogramSnapshot::default());
+        assert_eq!(flushed.snapshot(), direct.snapshot());
+    }
+
+    #[test]
+    fn record_inside_the_range_keeps_min_and_max() {
+        let h = AtomicHistogram::new();
+        for v in [50, 10, 90, 30, 10, 90] {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        assert_eq!((s.min, s.max), (10, 90));
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   RMW per event and never takes a lock.
 //! * [`AtomicHistogram`] — fixed-bucket log2 latency histograms, one per
 //!   path kind ([`PathClass`]: baseline / initial / subsequent).
+//! * [`Tally`] — the plain per-call twin of a shard's per-packet
+//!   counters: batch entry points record into it without atomics and
+//!   flush it into the hub once per call.
 //! * [`TelemetrySnapshot`] — a mergeable point-in-time copy with
 //!   Prometheus text exposition and an exact-round-trip JSON dump
 //!   (numbers stay `u64`; no `serde` needed).
@@ -28,6 +31,6 @@ pub mod hist;
 pub mod json;
 pub mod snapshot;
 
-pub use counters::{CounterShard, OpTotals, PathClass, Telemetry, OP_KINDS, OP_NAMES};
+pub use counters::{CounterShard, OpTotals, PathClass, Tally, Telemetry, OP_KINDS, OP_NAMES};
 pub use hist::{AtomicHistogram, HistogramSnapshot, BUCKETS};
 pub use snapshot::TelemetrySnapshot;

@@ -69,6 +69,16 @@ const MODELS: &[Model] = &[
         ],
     },
     Model {
+        name: "rcu-with-store",
+        bound: 3,
+        clean: || Box::new(rcu::rcu_with_store(Mutation::None)),
+        twins: &[Twin {
+            name: "rcu-early-guard-release",
+            expected: BugKind::UseAfterFree,
+            build: || Box::new(rcu::rcu_with_store(Mutation::EarlyGuardRelease)),
+        }],
+    },
+    Model {
         name: "rcu-two-readers",
         bound: 2,
         clean: || Box::new(rcu::rcu_two_readers(Mutation::None)),

@@ -799,3 +799,180 @@ fn concurrent_expire_idle_expires_each_flow_once() {
         assert_eq!(classifier.packets_seen(fid), 0, "expired flow fully forgotten");
     }
 }
+
+/// Borrowed flow-table reads racing every writer: two readers run
+/// `FlowTable::read` over a small FID range while two writers churn it —
+/// fresh inserts past capacity (LRU eviction), in-place replacement,
+/// `replace_if_present`, remove-then-reinsert and forced eviction. Each
+/// value carries the FID it was written for, so a read that lands on a
+/// recycled slot's new owner, or on a reclaimed value, shows up as a
+/// foreign value. After churn the retired values drain to zero.
+#[test]
+fn borrowed_reads_never_see_foreign_values_under_churn() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    use speedybox::mat::{AdmissionPolicy, FlowTable};
+
+    const FIDS: u32 = 96;
+    const WRITER_OPS: u32 = 20_000;
+
+    let table: FlowTable<(u32, u64)> = FlowTable::new(4, 48, AdmissionPolicy::EvictOldest);
+    let stop = AtomicBool::new(false);
+    let hits = AtomicU64::new(0);
+    // One clock for writers and readers, as the classifier's packet clock
+    // is: readers touch with the current tick, writers stamp the next.
+    let clock = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            let (table, stop, hits, clock) = (&table, &stop, &hits, &clock);
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    for n in 0..FIDS {
+                        let seen = table.read(Fid::new(n), |handle, value| {
+                            table.touch(handle, clock.load(Ordering::Relaxed));
+                            value.0
+                        });
+                        if let Some(owner) = seen {
+                            assert_eq!(owner, n, "read of fid {n} saw fid {owner}'s value");
+                            hits.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            });
+        }
+        let writers: Vec<_> = (0..2u32)
+            .map(|w| {
+                let (table, clock) = (&table, &clock);
+                s.spawn(move || {
+                    for i in 0..WRITER_OPS {
+                        let n = (i.wrapping_mul(7) + w * 13) % FIDS;
+                        let fid = Fid::new(n);
+                        let stamp = clock.fetch_add(1, Ordering::Relaxed) + 1;
+                        match i % 5 {
+                            // Insert: evicts the LRU entry at capacity, or
+                            // replaces the value in place if present.
+                            0 | 1 => {
+                                table.insert(fid, Arc::new((n, stamp)), stamp);
+                            }
+                            2 => {
+                                table.replace_if_present(fid, Arc::new((n, stamp)), stamp);
+                            }
+                            3 => {
+                                // Remove and reinstall: the slot may be
+                                // recycled for another FID in between.
+                                table.remove(fid);
+                                table.insert(fid, Arc::new((n, stamp)), stamp);
+                            }
+                            _ => {
+                                table.evict_oldest(1);
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert!(hits.load(Ordering::Relaxed) > 0, "readers never found a flow");
+    table.collect_generations();
+    assert_eq!(table.pending_generations(), 0, "retired slot values leak after churn");
+    for n in 0..FIDS {
+        if let Some(owner) = table.read(Fid::new(n), |_, v| v.0) {
+            assert_eq!(owner, n);
+        }
+    }
+}
+
+/// `GlobalMat::prefetch_into` racing install/evict/remove/reinstall: the
+/// Local MAT gives FID `n` the rule "set the destination port to
+/// 1000 + n", so a cached rule consolidated for any other flow is visible
+/// in its modify list. Readers prefetch into both map kinds the method
+/// accepts (`FidMap` and a std `HashMap`) while writers churn a Global MAT
+/// bounded below the FID range — installs replace present rules and evict
+/// the LRU rule when full. No reader may cache a foreign rule, and the
+/// retired rules drain to zero afterwards.
+#[test]
+fn prefetch_into_never_caches_a_foreign_rule_under_churn() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    use speedybox::packet::{FidMap, HeaderField};
+
+    const FIDS: u32 = 96;
+    const WRITER_OPS: u32 = 10_000;
+
+    let port = |n: u32| 1000 + n as u16;
+    let local = Arc::new(LocalMat::new(NfId::new(0)));
+    let seed = |n: u32| {
+        local.set_header_actions(
+            Fid::new(n),
+            vec![HeaderAction::modify(HeaderField::DstPort, port(n))],
+        );
+    };
+    (0..FIDS).for_each(seed);
+    let gm = GlobalMat::with_limits(vec![Arc::clone(&local)], 4, 48);
+    let fids: Vec<Fid> = (0..FIDS).map(Fid::new).collect();
+    let stop = AtomicBool::new(false);
+    let checked = AtomicU64::new(0);
+    // Every (field, value) a cached rule for `fid` modifies must be fid's.
+    let check = |fid: Fid, rule: &speedybox::mat::GlobalRule| {
+        for (field, value) in rule.consolidated.modifies() {
+            assert_eq!(*field, HeaderField::DstPort);
+            assert_eq!(value.as_port(), port(fid.value()), "{fid} cached another flow's rule");
+        }
+    };
+    std::thread::scope(|s| {
+        {
+            let (gm, fids, stop, checked) = (&gm, &fids, &stop, &checked);
+            s.spawn(move || {
+                let mut cache = FidMap::default();
+                while !stop.load(Ordering::Relaxed) {
+                    gm.prefetch_into(fids, &mut cache);
+                    for (&fid, rule) in &cache {
+                        check(fid, rule);
+                    }
+                    checked.fetch_add(cache.len() as u64, Ordering::Relaxed);
+                }
+            });
+            s.spawn(move || {
+                let mut cache = HashMap::new();
+                while !stop.load(Ordering::Relaxed) {
+                    gm.prefetch_into(fids, &mut cache);
+                    for (&fid, rule) in &cache {
+                        check(fid, rule);
+                    }
+                    checked.fetch_add(cache.len() as u64, Ordering::Relaxed);
+                }
+            });
+        }
+        let writers: Vec<_> = (0..2u32)
+            .map(|w| {
+                let (gm, seed) = (&gm, &seed);
+                s.spawn(move || {
+                    let mut ops = OpCounter::default();
+                    for i in 0..WRITER_OPS {
+                        let n = (i.wrapping_mul(5) + w * 31) % FIDS;
+                        let fid = Fid::new(n);
+                        if i % 4 == 3 {
+                            gm.remove_flow(fid);
+                        }
+                        // An eviction tears the victim's Local MAT rule
+                        // down; re-seed before (re)installing.
+                        seed(n);
+                        gm.install(fid, &mut ops);
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert!(checked.load(Ordering::Relaxed) > 0, "readers never cached a rule");
+    assert!(gm.len() <= 48, "the capacity bound held");
+    gm.collect_generations();
+    assert_eq!(gm.pending_generations(), 0, "retired rules leak after churn");
+}

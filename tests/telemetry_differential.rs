@@ -13,7 +13,7 @@ use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains;
 use speedybox::platform::onvm::OnvmChain;
 use speedybox::platform::runtime::SboxConfig;
-use speedybox::platform::RunStats;
+use speedybox::platform::{ProcessedPacket, RunStats};
 use speedybox::telemetry::{TelemetrySnapshot, OP_NAMES};
 use speedybox::traffic::{Workload, WorkloadConfig};
 
@@ -179,4 +179,135 @@ fn snapshot_json_round_trips_after_real_run() {
     let snap = c.telemetry().snapshot();
     let back = TelemetrySnapshot::from_json(&snap.to_json()).expect("parse own JSON");
     assert_eq!(snap, back);
+}
+
+/// Short TCP flows (SYN, two data packets, FIN) with six flows open at a
+/// time, in two generations over the same 5-tuples, so every flow is
+/// opened, fast-pathed, closed and re-opened.
+fn churn(flows: u16) -> Vec<Packet> {
+    use speedybox::packet::{PacketBuilder, TcpFlags};
+
+    const OPEN: u16 = 6;
+    let pkt = |port: u16, flags: u8, i: usize| {
+        PacketBuilder::tcp()
+            .src(format!("10.9.{}.{}:{}", port / 200, port % 200 + 1, 2000 + port).parse().unwrap())
+            .dst("10.0.0.2:80".parse().unwrap())
+            .flags(flags)
+            .payload(format!("churn-{port}-{i}").as_bytes())
+            .build()
+    };
+    let stages = [TcpFlags::SYN, TcpFlags::ACK, TcpFlags::ACK, TcpFlags::FIN | TcpFlags::ACK];
+    let mut out = Vec::new();
+    for generation in 0..2 {
+        for group in (0..flows).step_by(OPEN as usize) {
+            for (i, &flags) in stages.iter().enumerate() {
+                for port in group..(group + OPEN).min(flows) {
+                    out.push(pkt(port, flags, i + generation * stages.len()));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The engine calls the churn differential drives: per-packet `process`
+/// at batch 1, `process_batch_into` above it.
+trait Engine {
+    fn process_one(&mut self, packet: Packet) -> ProcessedPacket;
+    fn process_into(&mut self, packets: &mut Vec<Packet>, out: &mut Vec<ProcessedPacket>);
+    fn snapshot(&self) -> TelemetrySnapshot;
+}
+
+impl Engine for BessChain {
+    fn process_one(&mut self, packet: Packet) -> ProcessedPacket {
+        self.process(packet)
+    }
+    fn process_into(&mut self, packets: &mut Vec<Packet>, out: &mut Vec<ProcessedPacket>) {
+        self.process_batch_into(packets, out);
+    }
+    fn snapshot(&self) -> TelemetrySnapshot {
+        self.telemetry().snapshot()
+    }
+}
+
+impl Engine for OnvmChain {
+    fn process_one(&mut self, packet: Packet) -> ProcessedPacket {
+        self.process(packet)
+    }
+    fn process_into(&mut self, packets: &mut Vec<Packet>, out: &mut Vec<ProcessedPacket>) {
+        self.process_batch_into(packets, out);
+    }
+    fn snapshot(&self) -> TelemetrySnapshot {
+        self.telemetry().snapshot()
+    }
+}
+
+/// Drives `packets` through `engine` at `batch_size`, failing half of
+/// Maglev's backends before packet 128 and recovering them before packet
+/// 256 — batch boundaries at every size used here — so flows mid-life
+/// fire reroute events and the fast path's latencies spread out.
+fn drive_churn(
+    engine: &mut dyn Engine,
+    maglev: &speedybox::nf::maglev::Maglev,
+    packets: &[Packet],
+    batch_size: usize,
+) -> RunStats {
+    let mut stats = RunStats::default();
+    let mut out = Vec::new();
+    for (start, chunk) in packets.chunks(batch_size).enumerate().map(|(i, c)| (i * batch_size, c)) {
+        match start {
+            128 => (0..4).for_each(|k| maglev.fail_backend(&format!("backend-{k}"))),
+            256 => (0..4).for_each(|k| maglev.recover_backend(&format!("backend-{k}"))),
+            _ => {}
+        }
+        if batch_size == 1 {
+            stats.record(engine.process_one(chunk[0].clone()));
+        } else {
+            engine.process_into(&mut chunk.to_vec(), &mut out);
+            out.drain(..).for_each(|o| stats.record(o));
+        }
+    }
+    stats
+}
+
+/// Per-batch telemetry must leave the hub exactly as per-packet telemetry
+/// does: chain1 under SYN/data/FIN churn and a Maglev failover at batch 1
+/// (per-packet `observe`), 8 and 32 (one `Tally` flush per call, with
+/// calls that end mid-flow and flows that close and re-open inside one
+/// call) yields the same snapshot — every counter, every histogram
+/// bucket, sum, min and max — on both engines.
+#[test]
+fn chain1_churn_snapshot_is_identical_at_every_batch_size() {
+    let packets = churn(48);
+    for engine in ["bess", "onvm"] {
+        let mut snaps: Vec<(usize, TelemetrySnapshot)> = Vec::new();
+        for batch_size in [1, 8, 32] {
+            let label = format!("{engine}/churn/batch={batch_size}");
+            let config = SboxConfig { batch_size, shards: 4, ..SboxConfig::default() };
+            let (nfs, handles) = chains::chain1(8);
+            let mut chain: Box<dyn Engine> = match engine {
+                "bess" => Box::new(BessChain::speedybox_with(nfs, config)),
+                _ => Box::new(OnvmChain::speedybox_with(nfs, config)),
+            };
+            let stats = drive_churn(chain.as_mut(), &handles.maglev, &packets, batch_size);
+            let snap = chain.snapshot();
+            assert_matches(&stats, &snap, &label);
+            assert!(
+                snap.flows_closed > 0 && snap.rule_rewrites > 0,
+                "{label}: churn and failover ran"
+            );
+            assert!(
+                snap.latency[2].min < snap.latency[2].max,
+                "{label}: fast-path latencies must spread for min/max to be checked"
+            );
+            snaps.push((batch_size, snap));
+        }
+        let (_, per_packet) = &snaps[0];
+        for (batch_size, snap) in &snaps[1..] {
+            assert_eq!(
+                snap, per_packet,
+                "{engine}: batch {batch_size} telemetry differs from batch 1"
+            );
+        }
+    }
 }
